@@ -342,9 +342,12 @@ def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
 
     inv = LinearOperator((n, n), matvec=inv_apply, dtype=float)
     ncv = min(n, 64)
-    lam_max = float(eigsh(fwd, k=1, which="LA", tol=tol * 1e-2, ncv=ncv,
+    # a fixed start vector: ARPACK's own random start makes the estimate
+    # (and condlab.csv) differ between processes in the last digits
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam_max = float(eigsh(fwd, k=1, which="LA", tol=tol * 1e-2, ncv=ncv, v0=v0,
                           return_eigenvectors=False)[0])
-    inv_max = float(eigsh(inv, k=1, which="LA", tol=tol * 1e-2, ncv=ncv,
+    inv_max = float(eigsh(inv, k=1, which="LA", tol=tol * 1e-2, ncv=ncv, v0=v0,
                           return_eigenvectors=False)[0])
     return ConditionEstimate(lam_max, 1.0 / inv_max, "lanczos")
 

@@ -158,7 +158,10 @@ def manufactured_error(
         t1 = i * k
         f = manufactured_forcing(grid, t1, nu)
         u1 = exact_solution(grid, t1)
-        advance(state, f, op.apply(u1), op)
+        try:
+            advance(state, f, op.apply(u1), op)
+        except KrylovError as exc:
+            raise exc.located(f"scheme {scheme!r}, step {i}, t={t1:.6g}") from exc
     return l2_norm(state.velocity - exact_solution(grid, T))
 
 
@@ -331,7 +334,10 @@ def run_twin(
     nsteps = cfg.steps
     for n in range(1, nsteps + 1):
         for _ in range(substeps):
-            u_next = truth.step()
+            try:
+                u_next = truth.step()
+            except KrylovError as exc:
+                raise exc.located(f"truth, step {n}, t={truth.time + truth.k:.6g}") from exc
         u_norm = l2_norm(u_next)
         u_obs = op.apply(u_next)
         f_next = forcing_fn(u_next.time)
@@ -339,7 +345,10 @@ def run_twin(
             state = states[var.name]
             if abs(state.time + cfg.k - u_next.time) > 1e-6 * cfg.k:
                 raise RuntimeError("truth and assimilation clocks diverged")
-            rec = advance(state, f_next, u_obs, op)
+            try:
+                rec = advance(state, f_next, u_obs, op)
+            except KrylovError as exc:
+                raise exc.located(f"variant {var.name!r}, step {n}, t={u_next.time:.6g}") from exc
             e = u_next - rec.v
             err = l2_norm(e)
             rels[var.name].append(err / u_norm)

@@ -5,11 +5,18 @@ Two workhorses:
 * `solve_cg` -- preconditioned conjugate gradients over arbitrary numpy
   arrays with a caller-supplied inner product, for the SPD analysis and
   Schur systems;
-* `solve_gmres` -- restarted GMRES for the nonsymmetric implicit
-  momentum solve.  Spectral coefficient arrays are complex but the
-  operator is only real-linear (inverse transforms pin the imaginary
-  parts of the edge columns), so the complex array is reinterpreted as
-  a real vector and scipy's GMRES runs in real arithmetic.
+* `solve_gmres` -- left-preconditioned restarted GMRES (Saad & Schultz
+  1986) for the nonsymmetric implicit momentum solve.  Spectral
+  coefficient arrays are complex but the operator is only real-linear
+  (inverse transforms pin the imaginary parts of the edge columns), so
+  GMRES runs in real arithmetic on the float64 view of the arrays.  It
+  follows scipy's `gmres` (1.17) step for step -- inner test on the
+  preconditioned residual with the gh-8400 adaptive tolerance, modified
+  Gram-Schmidt, LAPACK Givens rotations -- so iterates and iteration
+  counts match it bit for bit, without its wrapper layer.  `tol` is
+  relative to ||b|| and is tested on the true residual b - A x that
+  closes every restart cycle; that residual is what SolveInfo reports,
+  and `maxiter` bounds the total number of operator applications.
 
 Failures raise KrylovError rather than returning best-effort iterates:
 a silent half-converged solve would poison every identity downstream.
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dlartg
 
 
 class KrylovError(RuntimeError):
@@ -31,6 +38,10 @@ class KrylovError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+    def located(self, where: str) -> "KrylovError":
+        """The same failure with `where` (run, step, time) put in front."""
+        return KrylovError(f"{where}: {self}", self.residual, self.iterations)
 
 
 @dataclass
@@ -103,53 +114,123 @@ def solve_gmres(
     restart: int = 64,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveInfo]:
-    """Restarted GMRES over complex coefficient arrays, run as real vectors.
+    """Left-preconditioned restarted GMRES, run on the real view of `b`.
 
-    `apply_op` and `precondition` map coefficient arrays to coefficient
-    arrays; `b` fixes the shape.  Relative tolerance is measured on the
-    preconditioned residual, scipy semantics.  The returned SolveInfo
-    carries the true relative residual (one extra operator application).
+    `apply_op` and `precondition` map arrays shaped like `b` (float64 or
+    complex128) to such arrays.  Converged means ||b - A x|| <= tol ||b||
+    for the returned x; `maxiter` caps the operator applications.  The
+    returned SolveInfo counts every application (initial residual,
+    Arnoldi steps, the residual closing each cycle) and carries the
+    final true relative residual.
     """
-    shape = b.shape
-    breal = b.view(np.float64).ravel()
-    nreal = breal.size
-    count = [0]
+    b = np.ascontiguousarray(b)
+    shape, dtype = b.shape, b.dtype
+    bf = b.view(np.float64).ravel()
+    n = bf.size
+    bnorm = np.linalg.norm(bf)
+    if bnorm == 0.0:
+        return np.zeros_like(b), SolveInfo(0, 0.0)
 
-    def matvec(xr: np.ndarray) -> np.ndarray:
-        count[0] += 1
-        x = np.ascontiguousarray(xr).view(np.complex128).reshape(shape)
-        return np.ascontiguousarray(apply_op(x)).view(np.float64).ravel()
+    def field(v: np.ndarray) -> np.ndarray:
+        return v.view(dtype).reshape(shape)
 
-    operator = LinearOperator((nreal, nreal), matvec=matvec, dtype=np.float64)
-    M = None
-    if precondition is not None:
+    def flat(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a).view(np.float64).ravel()
 
-        def psolve(xr: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(xr).view(np.complex128).reshape(shape)
-            return np.ascontiguousarray(precondition(x)).view(np.float64).ravel()
+    applications = 0
 
-        M = LinearOperator((nreal, nreal), matvec=psolve, dtype=np.float64)
+    def matvec(v: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        return flat(apply_op(field(v)))
 
-    xr, info = gmres(
-        operator,
-        breal,
-        x0=None if x0 is None else x0.view(np.float64).ravel(),
-        rtol=tol,
-        atol=0.0,
-        restart=min(restart, nreal),
-        maxiter=max(1, maxiter // max(1, min(restart, nreal))),
-        M=M,
-    )
-    x = np.ascontiguousarray(xr).view(np.complex128).reshape(shape)
-    bnorm = float(np.linalg.norm(breal))
-    true_res = float(np.linalg.norm(breal - np.ascontiguousarray(apply_op(x)).view(np.float64).ravel()))
-    rel = true_res / bnorm if bnorm > 0 else true_res
-    if info != 0:
+    psolve = (lambda v: v) if precondition is None else (lambda v: flat(precondition(field(v))))
+
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=dtype).view(np.float64).ravel()
+    atol = tol * bnorm
+    eps = np.finfo(np.float64).eps
+    restart = min(restart, n)
+    # the inner test on the preconditioned residual, adapted between
+    # restarts so that it tracks the true residual (scipy gh-8400)
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(psolve(bf)) * min(ptol_max_factor, atol / bnorm)
+    presid = 0.0
+    # One block per solve, as in scipy: freeing a block this large raises
+    # glibc's mmap threshold, so later solves reuse heap pages.  Krylov
+    # vectors allocated one by one cost ~15k minor page faults per twin
+    # step at n = 128 and ran 20-25% slower.
+    V = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))  # row j holds Hessenberg column j
+    givens = np.zeros((restart, 2))
+    scratch = np.empty(n)
+
+    r = bf - matvec(x) if x.any() else bf
+    rnorm = np.linalg.norm(r)
+    converged = rnorm < atol
+    breakdown = False
+    # a cycle needs room for one Arnoldi step plus its closing residual
+    while not converged and applications + 2 <= maxiter:
+        V[0] = psolve(r)
+        s0 = np.linalg.norm(V[0])
+        V[0] *= 1 / s0
+        S = np.zeros(restart + 1)
+        S[0] = s0
+        for col in range(restart):
+            w = V[col + 1]
+            w[:] = psolve(matvec(V[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):  # modified Gram-Schmidt
+                t = np.dot(V[k], w)
+                h[col, k] = t
+                w -= np.multiply(V[k], t, out=scratch)
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            if h1 <= eps * h0:  # the Krylov space is invariant: exact solution
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                w *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = dlartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0.0
+            t = -s * S[col]
+            S[col], S[col + 1] = c * S[col], t
+            presid = abs(t)
+            if presid <= ptol or breakdown or applications + 2 > maxiter:
+                break
+        # back substitution; a zero pivot pseudo-solves the singular system
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[: col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ V[: col + 1]
+        r = bf - matvec(x)
+        rnorm = np.linalg.norm(r)
+        converged = rnorm <= atol
+        if converged or breakdown or not np.isfinite(rnorm):
+            break
+        if presid <= ptol:  # inner test passed but the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+
+    rel = float(rnorm / bnorm)
+    if not converged:
         raise KrylovError(
-            f"GMRES failed to converge (scipy info={info}) within {maxiter} operator applications",
+            f"GMRES stopped at relative residual {rel:.3e} > tol {tol:.1e} after "
+            f"{applications} of at most {maxiter} operator applications"
+            + (" (Krylov breakdown)" if breakdown else ""),
             residual=rel,
-            iterations=count[0],
+            iterations=applications,
         )
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise KrylovError("GMRES produced non-finite values")
-    return x, SolveInfo(count[0], rel)
+    return field(x), SolveInfo(applications, rel)

@@ -121,6 +121,12 @@ class TorusGrid:
         return _readonly(m)
 
     @cached_property
+    def dealiased_ik(self) -> np.ndarray:
+        """(i kx, i ky) on the 2/3 band, zero outside; shape (2, n, n//2+1)."""
+        m = self.dealias_mask
+        return _readonly(np.stack([1j * self.kx * m, 1j * self.ky * m]))
+
+    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """True on modes to keep (Nyquist rows/columns excluded)."""
         m = (self.kx_int != -self.n // 2)[:, None] & (self.ky_int != self.n // 2)[None, :]
@@ -147,11 +153,11 @@ class TorusGrid:
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Grid values -> normalized half-spectrum coefficients."""
-        return sfft.rfft2(np.asarray(values, dtype=float), axes=(-2, -1)) / self.n**2
+        return sfft.rfft2(np.asarray(values, dtype=float), axes=(-2, -1), norm="forward")
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Normalized half-spectrum coefficients -> grid values."""
-        return sfft.irfft2(coeffs * self.n**2, axes=(-2, -1), s=(self.n, self.n))
+        return sfft.irfft2(coeffs, axes=(-2, -1), s=(self.n, self.n), norm="forward")
 
 
 @lru_cache(maxsize=None)
@@ -416,12 +422,13 @@ def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np
     a third of the transforms.  `a_values` must come from band-limited
     coefficients; `wc` is truncated here.
     """
-    W1, W2 = g.to_values(wc * g.dealias_mask)
-    prods = np.stack([a_values[0] * W1, a_values[1] * W1, a_values[0] * W2, a_values[1] * W2])
+    W = g.to_values(wc * g.dealias_mask)
+    prods = np.empty((2,) + a_values.shape)  # [[a1 W1, a2 W1], [a1 W2, a2 W2]]
+    np.multiply(a_values, W[0], out=prods[0])
+    np.multiply(a_values, W[1], out=prods[1])
     ph = g.to_coeffs(prods)
-    ikx, iky = 1j * g.kx, 1j * g.ky
-    out = np.stack([ikx * ph[0] + iky * ph[1], ikx * ph[2] + iky * ph[3]])
-    return out * g.dealias_mask
+    np.multiply(g.dealiased_ik, ph, out=ph)  # d_x (a1 W_j), d_y (a2 W_j), band-limited
+    return ph[:, 0] + ph[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,15 @@ def _require_zero_mean(f: SpectralVectorField, what: str):
         raise ValueError(f"{what} must have zero mean")
 
 
-def _momentum_solve(
+def _momentum_operator(
     grid: TorusGrid,
     advecting: SpectralVectorField,
-    rhs: np.ndarray,
-    x0: np.ndarray,
     k: float,
     nu: float,
-    tol: float,
-    maxiter: int,
     nudge: tuple[ObservationOperator, float] | None = None,
-) -> tuple[np.ndarray, SolveInfo]:
-    """GMRES on  (1/k - nu lap) w + P advect(a, w) [+ chi P I_H w] = rhs."""
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The Step-1 operator  w -> (1/k - nu lap) w + P advect(a, w) [+ chi P I_H w]
+    on coefficient arrays, and its diagonal preconditioner."""
     a_vals = grid.to_values(advecting.coeffs * grid.dealias_mask)
     diag = 1.0 / k + nu * grid.k2
     pdiag = diag
@@ -138,14 +135,23 @@ def _momentum_solve(
             return diag * c + _leray_coeffs(grid, _advect_div_coeffs(grid, a_vals, c))
 
     inv_diag = 1.0 / pdiag
-    return solve_gmres(
-        apply_op,
-        rhs,
-        x0=x0,
-        tol=tol,
-        maxiter=maxiter,
-        precondition=lambda r: inv_diag * r,
-    )
+    return apply_op, lambda r: inv_diag * r
+
+
+def _momentum_solve(
+    grid: TorusGrid,
+    advecting: SpectralVectorField,
+    rhs: np.ndarray,
+    x0: np.ndarray,
+    k: float,
+    nu: float,
+    tol: float,
+    maxiter: int,
+    nudge: tuple[ObservationOperator, float] | None = None,
+) -> tuple[np.ndarray, SolveInfo]:
+    """GMRES on the Step-1 operator of `_momentum_operator`."""
+    apply_op, precondition = _momentum_operator(grid, advecting, k, nu, nudge)
+    return solve_gmres(apply_op, rhs, x0=x0, tol=tol, maxiter=maxiter, precondition=precondition)
 
 
 def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepResult:
@@ -400,10 +406,8 @@ def verify_momentum_residual(
     confirm the Krylov solve hit its advertised tolerance.
     """
     grid = vtilde.grid
-    a_vals = grid.to_values(state_prev.coeffs * grid.dealias_mask)
-    lhs = (1.0 / k + nu * grid.k2) * vtilde.coeffs + _leray_coeffs(
-        grid, _advect_div_coeffs(grid, a_vals, vtilde.coeffs)
-    )
+    apply_op, _ = _momentum_operator(grid, state_prev, k, nu)
+    lhs = apply_op(vtilde.coeffs)
     rhs = _leray_coeffs(grid, forcing.coeffs) + state_prev.coeffs / k
     num = np.linalg.norm((lhs - rhs).ravel())
     den = np.linalg.norm(rhs.ravel())

@@ -174,6 +174,13 @@ class TestConditioning:
         dn = cl.dense_condition(ops)
         assert abs(lz.cond - dn.cond) / dn.cond < 1e-6
 
+    def test_lanczos_estimate_is_reproducible(self):
+        # a fixed start vector: repeated estimates agree to the last bit
+        ops = cl.assemble(100, 10, "nested-linear", 100.0)
+        first = cl.estimate_condition(ops, method="lanczos")
+        again = cl.estimate_condition(ops, method="lanczos")
+        assert (first.lam_max, first.lam_min) == (again.lam_max, again.lam_min)
+
     def test_power_engine_cross_checks_lanczos(self):
         ops = cl.assemble(40, 8, "nested-linear", 10.0)
         pw = cl.estimate_condition(ops, method="power")

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from modnudge import experiments as ex
+from modnudge import solvers
+from modnudge import stepping
 from modnudge.assimilate import step2a_explicit
 from modnudge.config import RunConfig
 from modnudge.manufactured import exact_solution, forcing
 from modnudge.observers import make_spectral_projection
+from modnudge.solvers import KrylovError
 from modnudge.spectral import get_grid, l2_norm, random_divfree_field
 from modnudge.stepping import ForecastState, SchemeConfig, step1_forecast
 
@@ -157,6 +160,48 @@ class TestTwin:
         names = {v.name: v for v in ex.twin_variants(cfg, include_alternates=True)}
         schemes = {v.scheme for v in names.values()}
         assert {"none", "2a-explicit", "standard", "2b"} <= schemes
+
+
+
+def _cap_gmres(monkeypatch, maxiter):
+    """Make every momentum solve run out of operator applications."""
+    solve = solvers.solve_gmres
+
+    def capped(*args, **kwargs):
+        return solve(*args, **{**kwargs, "maxiter": maxiter})
+
+    monkeypatch.setattr(stepping, "solve_gmres", capped)
+
+
+class TestSolverFailuresAreLocated:
+    def test_twin_names_the_failing_variant_step_and_time(self, monkeypatch):
+        original = KrylovError("analysis solve stalled", residual=1e-3, iterations=7)
+
+        def fail(*args, **kwargs):
+            raise original
+
+        monkeypatch.setattr(ex, "step2a_explicit", fail)
+        with pytest.raises(KrylovError) as exc:
+            ex.run_twin(small_twin_config())
+        msg = str(exc.value)
+        assert msg.startswith("variant '2a-explicit-chi-50', step 1, t=0.02: ")
+        assert msg.endswith("analysis solve stalled")
+        assert (exc.value.residual, exc.value.iterations) == (1e-3, 7)
+        assert exc.value.__cause__ is original
+
+    def test_twin_names_a_failing_truth_substep(self, monkeypatch):
+        _cap_gmres(monkeypatch, 2)
+        with pytest.raises(KrylovError, match=r"^truth, step 1, t=0\.005: GMRES stopped"):
+            ex.run_twin(small_twin_config())
+
+    def test_converge_notes_name_scheme_step_and_time(self, monkeypatch):
+        _cap_gmres(monkeypatch, 2)
+        cfg = RunConfig(mode="manufactured", n=16, nu=1.0, k=0.1, T=0.2, chi=10.0,
+                        operator_scale=3.0, k_list=(0.1,))
+        table = ex.run_converge(cfg, schemes=("standard",))["standard"]
+        assert math.isnan(table.rows[0][1])
+        (note,) = table.notes
+        assert note.startswith("k=0.1: solve failed (scheme 'standard', step 1, t=0.1: GMRES")
 
 
 class TestProps:

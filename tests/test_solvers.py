@@ -1,8 +1,12 @@
-"""Krylov wrappers: convergence, preconditioning, failure reporting."""
+"""Krylov solvers: convergence, preconditioning, failure reporting, and
+bit-for-bit agreement of the in-house GMRES with scipy's."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, gmres
 
+from modnudge import spectral as sp
+from modnudge import stepping as st
 from modnudge.solvers import KrylovError, solve_cg, solve_gmres
 
 
@@ -106,3 +110,124 @@ def test_gmres_failure_raises():
     b = np.ones(400) + 0j
     with pytest.raises(KrylovError):
         solve_gmres(lambda v: diag * v, b, tol=1e-14, maxiter=4, restart=2)
+
+
+def test_gmres_maxiter_caps_total_operator_applications():
+    # restart 3, budget 7: a full first cycle (3 + residual), then two
+    # Arnoldi steps and the residual; scipy's cycle count would allow 8
+    diag = np.logspace(0, 8, 400)
+    b = np.ones(400) + 0j
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return diag * v
+
+    with pytest.raises(KrylovError, match="7 of at most 7") as exc:
+        solve_gmres(op, b, tol=1e-14, maxiter=7, restart=3)
+    assert exc.value.iterations == len(calls) == 7
+    assert 1e-14 < exc.value.residual < 1.0
+
+
+def test_gmres_reports_the_true_residual_of_the_returned_iterate():
+    rng = np.random.default_rng(8)
+    n = 40
+    a = np.diag(rng.uniform(1.0, 3.0, n)) + 0.2 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, info = solve_gmres(lambda v: a @ v, b, tol=1e-9, restart=5)
+    true_res = np.linalg.norm((b - a @ x).view(np.float64)) / np.linalg.norm(b.view(np.float64))
+    assert info.residual == true_res
+    assert info.residual <= 1e-9
+
+
+# -- bit-for-bit agreement with scipy.sparse.linalg.gmres -----------------
+
+
+def _scipy_gmres(apply_op, b, x0=None, tol=1e-10, restart=64, precondition=None):
+    """scipy's gmres on the float64 view of b, with an uncapped cycle count."""
+    shape, dtype = b.shape, b.dtype
+    n = b.view(np.float64).size
+
+    def real(f):
+        def g(xr):
+            return np.ascontiguousarray(f(xr.view(dtype).reshape(shape))).view(np.float64).ravel()
+
+        return g
+
+    M = None
+    if precondition is not None:
+        M = LinearOperator((n, n), matvec=real(precondition), dtype=np.float64)
+    xr, info = gmres(
+        LinearOperator((n, n), matvec=real(apply_op), dtype=np.float64),
+        b.view(np.float64).ravel(),
+        x0=None if x0 is None else x0.view(np.float64).ravel(),
+        rtol=tol,
+        atol=0.0,
+        restart=min(restart, n),
+        maxiter=100,
+        M=M,
+    )
+    assert info == 0
+    return xr.view(dtype).reshape(shape)
+
+
+def _assert_matches_scipy(apply_op, b, **kw):
+    calls = [0]
+
+    def counted(v):
+        calls[0] += 1
+        return apply_op(v)
+
+    x_ref = _scipy_gmres(counted, b, **kw)
+    scipy_calls, calls[0] = calls[0], 0
+    x, info = solve_gmres(counted, b, **kw)
+    assert x.tobytes() == x_ref.tobytes()
+    # every application is counted, and none is spent beyond scipy's
+    assert info.iterations == calls[0] == scipy_calls
+    return info
+
+
+def test_gmres_matches_scipy_on_a_complex_system():
+    rng = np.random.default_rng(9)
+    n = 30
+    a = (
+        np.diag(rng.uniform(1.0, 4.0, n) + 1j * rng.uniform(-1.0, 1.0, n))
+        + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    )
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    info = _assert_matches_scipy(lambda v: a @ v, b, tol=1e-11, restart=8)
+    assert info.iterations > 9  # restarted at least once
+
+
+def test_gmres_matches_scipy_with_a_preconditioner_and_initial_guess():
+    rng = np.random.default_rng(10)
+    n = 32
+    diag = np.logspace(0, 3, n)
+    a = np.diag(diag) + 0.1 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = b / diag
+    _assert_matches_scipy(lambda v: a @ v, b, x0=x0, tol=1e-12, precondition=lambda r: r / diag)
+
+
+def test_gmres_matches_scipy_on_a_restarted_stiff_forecast_solve():
+    # a stiff draw of test_unconditional_energy_stability (k ~ 10.9,
+    # nu ~ 1.2e-3 at n = 32): 199 applications over four restart cycles,
+    # a path that scipy's adaptive inner tolerance between cycles decides
+    # (with the tolerance held fixed it takes 211)
+    grid = sp.get_grid(32)
+    rng = np.random.default_rng(3)
+    for _ in range(31):
+        v = sp.random_divfree_field(grid, rng, decay=rng.uniform(0.2, 1.0))
+        k = float(10 ** rng.uniform(-2, 2))
+        nu = float(10 ** rng.uniform(-3, 0))
+    assert 10.0 < k < 12.0 and 1e-3 < nu < 1.5e-3
+    apply_op, precondition = st._momentum_operator(grid, v, k, nu)
+    info = _assert_matches_scipy(
+        apply_op,
+        v.coeffs / k,
+        x0=v.coeffs.copy(),
+        tol=st.DEFAULT_SOLVER_TOL,
+        precondition=precondition,
+    )
+    assert info.iterations > 3 * 64
+    assert info.residual <= st.DEFAULT_SOLVER_TOL
