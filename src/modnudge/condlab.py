@@ -8,11 +8,15 @@ projection onto a coarse space, reduces to the Schur-style SPD system
 
 where Mh, MH are the fine/coarse mass matrices and B couples the two
 bases.  This module assembles those operators exactly (two-point Gauss
-on the union of element breakpoints), applies the reduced operator
-matrix-free with an inner CG for the coarse solve, estimates the
-condition number, and compares the implicit solve to the closed-form
-gain update -- which is exact precisely when the coarse space is
-nested in the fine one, so the composed projection is idempotent.
+on the union of element breakpoints) and factors them once per
+assembly: banded Cholesky factors of Mh and MH, the coarse-by-fine
+block MH^{-1} B^T, and, through the Sherman-Morrison-Woodbury identity,
+a small coarse-sized Cholesky factor that applies the reduced inverse.
+With those it applies the reduced operator and its inverse without an
+inner iteration, estimates the condition number, and compares the
+implicit solve (a CG on the reduced operator) to the closed-form gain
+update -- which is exact precisely when the coarse space is nested in
+the fine one, so the composed projection is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space.  Dimensions stay desk-scale so a dense eigenvalue oracle can
@@ -22,16 +26,16 @@ sit next to every iterative estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .solvers import KrylovError, solve_cg
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
-INNER_TOL = 1e-13
 MAX_DIMENSION = 5000
 
 _GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -73,14 +77,6 @@ class Mesh1D:
         return bool(np.max(np.abs(w - w[0])) <= 1e-12 * w[0])
 
 
-def _hat(mesh: Mesh1D, i: int, x: np.ndarray) -> np.ndarray:
-    """Interior P1 basis function i (1-based node index) at points x."""
-    xl, xc, xr = mesh.nodes[i - 1], mesh.nodes[i], mesh.nodes[i + 1]
-    up = (x - xl) / (xc - xl)
-    down = (xr - x) / (xr - xc)
-    return np.where(x <= xc, np.clip(up, 0.0, 1.0), np.clip(down, 0.0, 1.0))
-
-
 def _p1_mass(mesh: Mesh1D) -> sparse.csr_array:
     """Mass matrix of the zero-boundary P1 space (interior nodes only)."""
     w = mesh.widths
@@ -118,45 +114,51 @@ def _coupling(fine: Mesh1D, coarse: Mesh1D, kind: str) -> np.ndarray:
     """B_ij = (phi_i^fine, phi_j^coarse), exact two-point Gauss quadrature.
 
     Integrands are piecewise quadratics on the union of the two meshes'
-    breakpoints, which two-point Gauss integrates exactly.
+    breakpoints, which two-point Gauss integrates exactly.  Each piece
+    lies in one fine and one coarse element; it adds its integral of
+    every product of the local basis functions there, piece by piece in
+    increasing x.
     """
     nf = fine.n_elements - 1
+    cuts = np.union1d(fine.nodes, coarse.nodes)
+    lo, hi = cuts[:-1], cuts[1:]
+    xs = lo[:, None] + (hi - lo)[:, None] * np.asarray(_GAUSS_NODES)  # (pieces, 2)
+    mid = 0.5 * (lo + hi)
+
+    def local_hats(mesh):
+        """Dof indices (pieces, 2) and values (pieces, 2, gauss) of the two
+        hats on each piece's element: its left node falling, its right rising."""
+        e = np.searchsorted(mesh.nodes, mid) - 1
+        xl, xr = mesh.nodes[e][:, None], mesh.nodes[e + 1][:, None]
+        values = np.stack([(xr - xs) / (xr - xl), (xs - xl) / (xr - xl)], axis=1)
+        return np.stack([e - 1, e], axis=1), values
+
+    rows, phi = local_hats(fine)
     if kind == "nested-linear":
         nc = coarse.n_elements - 1
-
-        def coarse_fn(j, x):
-            return _hat(coarse, j + 1, x)
-
-        def coarse_support(j):
-            return coarse.nodes[j], coarse.nodes[j + 2]
-
+        cols, psi = local_hats(coarse)
     else:  # piecewise-constant: one indicator per coarse cell
-
         nc = coarse.n_elements
-
-        def coarse_fn(j, x):
-            return np.where((x >= coarse.nodes[j]) & (x <= coarse.nodes[j + 1]), 1.0, 0.0)
-
-        def coarse_support(j):
-            return coarse.nodes[j], coarse.nodes[j + 1]
-
-    cuts = np.union1d(fine.nodes, coarse.nodes)
+        cols = (np.searchsorted(coarse.nodes, mid) - 1)[:, None]
+        psi = np.ones((lo.size, 1, 2))
+    # (pieces, fine hat, coarse function): half width times the Gauss sum
+    vals = 0.5 * (hi - lo)[:, None, None] * (
+        phi[:, :, None, 0] * psi[:, None, :, 0] + phi[:, :, None, 1] * psi[:, None, :, 1]
+    )
+    i = np.broadcast_to(rows[:, :, None], vals.shape).ravel()
+    j = np.broadcast_to(cols[:, None, :], vals.shape).ravel()
+    keep = (i >= 0) & (i < nf) & (j >= 0) & (j < nc)
     b = np.zeros((nf, nc))
-    for i in range(1, nf + 1):
-        lo_i, hi_i = fine.nodes[i - 1], fine.nodes[i + 1]
-        for j in range(nc):
-            lo_j, hi_j = coarse_support(j)
-            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-            if hi <= lo:
-                continue
-            pieces = cuts[(cuts > lo) & (cuts < hi)]
-            edges = np.concatenate([[lo], pieces, [hi]])
-            total = 0.0
-            for a, bb in zip(edges, edges[1:]):
-                xs = a + (bb - a) * np.asarray(_GAUSS_NODES)
-                total += 0.5 * (bb - a) * float(np.sum(_hat(fine, i, xs) * coarse_fn(j, xs)))
-            b[i - 1, j] = total
+    np.add.at(b, (i[keep], j[keep]), vals.ravel()[keep])
     return b
+
+
+def _banded_cholesky(m: sparse.csr_array) -> np.ndarray:
+    """Upper banded Cholesky factor of a symmetric tridiagonal (or diagonal) matrix."""
+    ab = np.zeros((2, m.shape[0]))
+    ab[0, 1:] = m.diagonal(1)
+    ab[1] = m.diagonal()
+    return cholesky_banded(ab)
 
 
 @dataclass
@@ -170,18 +172,35 @@ class FemOperatorSet:
     mh: sparse.csr_array
     mH: sparse.csr_array
     b: np.ndarray
-    inner_tol: float = INNER_TOL
-    _inner_iters: int = dc_field(default=0, repr=False)
+    # factors, computed once per assembly and read by every apply and solve
+    mh_chol: np.ndarray = field(init=False, repr=False)
+    mH_chol: np.ndarray = field(init=False, repr=False)
+    mH_inv_bt: np.ndarray = field(init=False, repr=False)  # MH^{-1} B^T
+    mh_inv_b: np.ndarray = field(init=False, repr=False)  # Mh^{-1} B
+    # cho_factor of K = MH + k chi B^T Mh^{-1} B; None when k chi = 0
+    woodbury: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mh_chol = _banded_cholesky(self.mh)
+        self.mH_chol = _banded_cholesky(self.mH)
+        self.mH_inv_bt = self.coarse_solve(self.b.T)
+        self.mh_inv_b = self.fine_solve(self.b)
+        self.woodbury = None
+        if self.k_chi != 0.0:
+            k_mat = self.mH.toarray() + self.k_chi * (self.b.T @ self.mh_inv_b)
+            self.woodbury = cho_factor(k_mat)
 
     @property
     def dim(self) -> int:
         return self.mh.shape[0]
 
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Inner CG on the well-conditioned coarse mass matrix."""
-        d, info = solve_cg(lambda x: self.mH @ x, rhs, tol=self.inner_tol, maxiter=2000)
-        self._inner_iters += info.iterations
-        return d
+        """MH^{-1} rhs from the banded Cholesky factor."""
+        return cho_solve_banded((self.mH_chol, False), rhs)
+
+    def fine_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Mh^{-1} rhs from the banded Cholesky factor."""
+        return cho_solve_banded((self.mh_chol, False), rhs)
 
 
 def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperatorSet:
@@ -207,12 +226,23 @@ def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperator
 
 
 def reduced_apply(ops: FemOperatorSet, c: np.ndarray) -> np.ndarray:
-    """[Mh + k_chi B MH^{-1} B^T] c, matrix-free."""
+    """[Mh + k_chi B MH^{-1} B^T] c, with MH^{-1} B^T precomputed."""
     out = ops.mh @ c
     if ops.k_chi != 0.0:
-        d = ops.coarse_solve(ops.b.T @ c)
-        out = out + ops.k_chi * (ops.b @ d)
+        out = out + ops.k_chi * (ops.b @ (ops.mH_inv_bt @ c))
     return out
+
+
+def reduced_solve(ops: FemOperatorSet, x: np.ndarray) -> np.ndarray:
+    """[Mh + k_chi B MH^{-1} B^T]^{-1} x by the Sherman-Morrison-Woodbury identity.
+
+    S^{-1} x = Mh^{-1} x - k_chi Mh^{-1} B K^{-1} B^T Mh^{-1} x with the
+    coarse-sized K = MH + k_chi B^T Mh^{-1} B, whose factor `assemble` keeps.
+    """
+    y = ops.fine_solve(x)
+    if ops.k_chi == 0.0:
+        return y
+    return y - ops.k_chi * (ops.mh_inv_b @ cho_solve(ops.woodbury, ops.b.T @ y))
 
 
 def solve_step2_fem(
@@ -235,9 +265,7 @@ def solve_step2_fem(
 
 def project_to_coarse_and_back(ops: FemOperatorSet, w: np.ndarray) -> np.ndarray:
     """Fine coefficients of (fine L2 projection of) the coarse projection of w."""
-    d = ops.coarse_solve(ops.b.T @ w)
-    y, _ = solve_cg(lambda x: ops.mh @ x, ops.b @ d, tol=ops.inner_tol, maxiter=2000)
-    return y
+    return ops.fine_solve(ops.b @ ops.coarse_solve(ops.b.T @ w))
 
 
 def explicit_update_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -315,7 +343,8 @@ def estimate_condition(
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
     The default engine is Lanczos (largest eigenvalue directly, smallest
-    through the inverse operator applied by CG): the mass-matrix
+    as the inverse of the largest eigenvalue of `reduced_solve`, the
+    factored inverse): the mass-matrix
     spectrum is tightly clustered at both ends, which plain power
     iteration cannot resolve to 1e-6 in sensible time on fine meshes.
     The power-iteration engine remains available for desk-scale
@@ -335,12 +364,7 @@ def estimate_condition(
 def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
     n = ops.dim
     fwd = LinearOperator((n, n), matvec=lambda x: reduced_apply(ops, x), dtype=float)
-
-    def inv_apply(x):
-        y, _ = solve_cg(lambda z: reduced_apply(ops, z), x, tol=1e-12, maxiter=20000)
-        return y
-
-    inv = LinearOperator((n, n), matvec=inv_apply, dtype=float)
+    inv = LinearOperator((n, n), matvec=lambda x: reduced_solve(ops, x), dtype=float)
     ncv = min(n, 64)
     # a fixed start vector: ARPACK's own random start makes the estimate
     # (and condlab.csv) differ between processes in the last digits
@@ -376,12 +400,7 @@ def _condition_power(ops: FemOperatorSet, tol: float, maxiter: int = 200_000) ->
         raise KrylovError(f"power iteration did not settle within {maxiter} sweeps")
 
     lam_max = iterate(lambda x: reduced_apply(ops, x))
-
-    def inv_apply(x):
-        y, _ = solve_cg(lambda z: reduced_apply(ops, z), x, tol=1e-12, maxiter=20000)
-        return y
-
-    lam_min = 1.0 / iterate(inv_apply)
+    lam_min = 1.0 / iterate(lambda x: reduced_solve(ops, x))
     return ConditionEstimate(lam_max, lam_min, "power")
 
 

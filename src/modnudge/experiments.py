@@ -286,6 +286,17 @@ def twin_initial_fields(
     return u0, v0, forcing_fn
 
 
+def _check_windows_on_step_grid(windows, k: float):
+    """Horizon windows are read off the assimilation samples, so every
+    endpoint must be a multiple of k (up to the clock's roundoff)."""
+    for win in windows:
+        if any(abs(round(t / k) * k - t) > 1e-6 * k for t in win):
+            raise ValueError(
+                f"horizon window {win[0]:g}:{win[1]:g} does not start and end on the "
+                f"step grid; its endpoints must be multiples of k={k:g}"
+            )
+
+
 def run_twin(
     cfg: RunConfig,
     variants: Sequence[TwinVariant] | None = None,
@@ -294,6 +305,8 @@ def run_twin(
     """Synthetic-truth study: integrate truth once, assimilate its
     observations into every variant, and log errors plus the per-step
     identity residuals of the two-step runs."""
+    windows = cfg.horizon_windows()
+    _check_windows_on_step_grid(windows, cfg.k)
     grid = get_grid(cfg.n)
     op = make_operator(grid, cfg.operator, cfg.operator_scale)
     variants = tuple(variants if variants is not None else twin_variants(cfg))
@@ -381,7 +394,6 @@ def run_twin(
     times_arr = np.asarray(times)
     truth_arr = np.asarray(truth_norms)
     epsilons = cfg.epsilons or (default_epsilon(truth_arr),)
-    windows = cfg.horizon_windows()
     results: dict[str, VariantResult] = {}
     for var in variants:
         series = ErrorSeries(times_arr, np.asarray(rels[var.name]))

@@ -133,6 +133,15 @@ class TestCondlab:
         )
         assert get("l") == pytest.approx(get("d"), rel=1e-5)
 
+    def test_reruns_write_identical_csv(self, tmp_path):
+        for sub in ("a", "b"):
+            assert main([
+                "condlab", "--outdir", str(tmp_path / sub),
+                "--set", "fem_n=64", "--set", "fem_m=8", "--set", "kchi_list=1,100,1e4",
+            ]) == 0
+        assert (tmp_path / "a" / "condlab.csv").read_bytes() == \
+            (tmp_path / "b" / "condlab.csv").read_bytes()
+
 
 class TestProps:
     def test_pass_and_tamper_exit_codes(self, tmp_path, capsys):
@@ -157,6 +166,14 @@ class TestErrors:
                    "--set", "operator_scale=0.5"])
         assert rc == 2
         assert "idempotent" in capsys.readouterr().err
+
+    def test_off_grid_horizon_window_fails_before_stepping(self, tmp_path, capsys):
+        # the default windows of T=0.02 start at 0.008, between samples k=0.01 apart
+        rc = main(["twin", "--outdir", str(tmp_path), "--set", "n=32", "--set", "T=0.02"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "window 0.008:0.012" in err and "k=0.01" in err
+        assert not (tmp_path / "twin_errors.csv").exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -23,6 +23,25 @@ class TestMesh:
             cl.Mesh1D(np.array([0.0, 0.6, 0.4, 1.0]))
 
 
+def _coupling_oracle(fine_n, coarse_m, kind):
+    """B by composite two-point Gauss on the uniform grid of fine_n*coarse_m
+    cells, which contains every breakpoint of both meshes, so each cell
+    integrates a quadratic and the rule is exact; the basis functions
+    come from closed-form tent and indicator formulas, not from condlab."""
+    cells = fine_n * coarse_m
+    left = np.arange(cells) / cells
+    g = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
+    x = (left[:, None] + g / cells).ravel()
+    weight = 0.5 / cells
+    phi = np.maximum(0.0, 1.0 - np.abs(x[None, :] * fine_n - np.arange(1, fine_n)[:, None]))
+    if kind == "nested-linear":
+        psi = np.maximum(0.0, 1.0 - np.abs(x[None, :] * coarse_m
+                                           - np.arange(1, coarse_m)[:, None]))
+    else:
+        psi = (np.floor(x * coarse_m)[None, :] == np.arange(coarse_m)[:, None]).astype(float)
+    return weight * (phi @ psi.T)
+
+
 class TestAssembly:
     def test_fine_mass_is_the_textbook_tridiagonal(self):
         n = 8
@@ -51,6 +70,21 @@ class TestAssembly:
         n, m = 24, 8
         ops = cl.assemble(n, m, "piecewise-constant", 1.0)
         assert np.allclose(ops.b.sum(axis=1), 1.0 / n, atol=1e-15)
+
+    @pytest.mark.parametrize("n,m,kind", [
+        (48, 8, "nested-linear"), (48, 16, "piecewise-constant"),
+        (50, 7, "piecewise-constant"), (20, 20, "nested-linear"),
+    ])
+    def test_coupling_matches_the_composite_gauss_oracle(self, n, m, kind):
+        b = cl._coupling(cl.Mesh1D.uniform(n), cl.Mesh1D.uniform(m), kind)
+        want = _coupling_oracle(n, m, kind)
+        assert b.shape == want.shape
+        assert np.max(np.abs(b - want)) < 1e-15
+
+    def test_piecewise_constant_rows_sum_to_hat_integrals_on_a_non_dividing_mesh(self):
+        n = 200
+        b = cl._coupling(cl.Mesh1D.uniform(n), cl.Mesh1D.uniform(7), "piecewise-constant")
+        assert np.max(np.abs(b.sum(axis=1) - 1.0 / n)) < 1e-16
 
     def test_coarse_mass_kinds(self):
         nested = cl.assemble(16, 4, "nested-linear", 1.0)
@@ -103,6 +137,26 @@ class TestReducedOperator:
             lhs = float(cl.reduced_apply(ops, c) @ d)
             rhs = float(c @ cl.reduced_apply(ops, d))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+class TestReducedSolve:
+    @pytest.mark.parametrize("n,m,kind", [
+        (96, 8, "nested-linear"), (96, 12, "piecewise-constant"), (200, 7, "piecewise-constant"),
+    ])
+    @pytest.mark.parametrize("k_chi", [0.0, 1.0, 1e4])
+    def test_inverts_the_reduced_operator(self, n, m, kind, k_chi):
+        rng = np.random.default_rng(9)
+        ops = cl.assemble(n, m, kind, k_chi)
+        norm_s = np.linalg.norm(cl.dense_matrix(ops), 2)
+        for _ in range(5):
+            x = rng.standard_normal(ops.dim)
+            y = cl.reduced_solve(ops, x)
+            r = np.linalg.norm(cl.reduced_apply(ops, y) - x)
+            # normwise backward error: at k_chi = 1e4 the plain relative
+            # residual sits at eps * cond ~ 1e-12, for a dense LU solve as well
+            assert r <= 1e-14 * (norm_s * np.linalg.norm(y) + np.linalg.norm(x))
+            if k_chi <= 1.0:
+                assert r <= 1e-12 * np.linalg.norm(x)
 
 
 class TestAnalysisSolve:

@@ -155,6 +155,19 @@ class TestTwin:
         with pytest.raises(ValueError, match="idempotent|non-idempotent"):
             ex.run_twin(cfg, variants=bad)
 
+    def test_off_grid_default_windows_rejected_before_the_first_step(self, monkeypatch):
+        # T=0.06 puts the default windows at 0.024, 0.036, ... which miss k=0.02
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the run started before its windows were checked")
+
+        monkeypatch.setattr(ex, "TruthIntegrator", no_stepping)
+        with pytest.raises(ValueError, match=r"window 0\.024:0\.036 .*k=0\.02"):
+            ex.run_twin(small_twin_config(T=0.06, windows=()))
+
+    def test_off_grid_given_window_rejected(self):
+        with pytest.raises(ValueError, match=r"window 0\.1:0\.31 .*k=0\.02"):
+            ex.run_twin(small_twin_config(windows=((0.1, 0.31),)))
+
     def test_alternate_variants_cover_other_schemes(self):
         cfg = small_twin_config()
         names = {v.name: v for v in ex.twin_variants(cfg, include_alternates=True)}
