@@ -42,7 +42,6 @@ from .spectral import (
     _readonly,
     coeff_dot,
     h1_seminorm,
-    inner,
     l2_norm,
     leray_project,
 )
@@ -71,13 +70,8 @@ def step2a_explicit(
     op: ObservationOperator,
     k: float,
     chi: float,
-    gain_scale: float = 1.0,
 ) -> AnalysisResult:
-    """Closed-form analysis update for idempotent observation operators.
-
-    `gain_scale` exists solely so the property suite can verify its own
-    teeth by perturbing the gain; leave it at 1.0.
-    """
+    """Closed-form analysis update for idempotent observation operators."""
     _check_params(k, chi)
     if not op.idempotent:
         raise ValueError(
@@ -86,7 +80,7 @@ def step2a_explicit(
         )
     if chi == 0.0:
         return AnalysisResult(vtilde, "explicit")
-    gain = gain_scale * k * chi / (1.0 + k * chi)
+    gain = k * chi / (1.0 + k * chi)
     c = vtilde.coeffs + gain * (u_obs.coeffs - op.apply_coeffs(vtilde.coeffs))
     return _as_result(vtilde.grid, c, vtilde.time, "explicit")
 

@@ -28,6 +28,7 @@ from .config import (
     _parse_windows,
     apply_overrides,
     default_config,
+    default_windows,
     load_config,
     resolve_outdir,
 )
@@ -160,11 +161,8 @@ def cmd_horizon(args) -> int:
     epsilons = _parse_float_list(args.epsilons)
     rows = []
     for name, series in series_by_name.items():
-        T = float(series.times[-1])
         windows = (
-            _parse_windows(args.windows)
-            if args.windows
-            else ((0.4 * T, 0.6 * T), (0.6 * T, 0.8 * T), (0.8 * T, T), (0.5 * T, T))
+            _parse_windows(args.windows) if args.windows else default_windows(series.times[-1])
         )
         for t1, t2 in windows:
             t1s, t2s = _snap(series, t1), _snap(series, t2)
@@ -184,7 +182,7 @@ def cmd_horizon(args) -> int:
 
 
 def cmd_condlab(args) -> int:
-    cfg = _load(args, cfg_mode_for_condlab(args))
+    cfg = _load(args, "twin")
     outdir = resolve_outdir(cfg)
     rows = ex.run_condlab(cfg, method=args.method)
     fileio.write_condlab_csv(outdir / "condlab.csv", rows)
@@ -204,18 +202,8 @@ def cmd_condlab(args) -> int:
     return 0
 
 
-def cfg_mode_for_condlab(args) -> str:
-    # condlab only uses the fem_* keys; keep whatever mode the file declares
-    if args.config:
-        try:
-            return load_config(args.config).mode
-        except ValueError:
-            pass
-    return "twin"
-
-
 def cmd_props(args) -> int:
-    report = ex.run_props(seed=args.seed, count=args.count, tamper=args.tamper)
+    report = ex.run_props(seed=args.seed, count=args.count)
     width = max(len(r.name) for r in report.results)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
@@ -263,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("horizon", help="predictability horizons from a twin error series")
     p.add_argument("--series", required=True, metavar="CSV", help="twin_errors.csv from `twin`")
     p.add_argument("--variant", action="append", help="restrict to this variant (repeatable)")
-    p.add_argument("--windows", help="FTLE windows, e.g. 10:15,15:20 (default: quarters)")
+    p.add_argument("--windows", help="FTLE windows, e.g. 10:15,15:20 (default: as for twin)")
     p.add_argument(
         "--epsilons",
         default="0.1",
@@ -285,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run every identity/property suite; nonzero exit on failure")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="instances per suite (default 100)")
-    p.add_argument(
-        "--tamper",
-        choices=("gain",),
-        help="deliberately break the explicit update to prove the suite detects it",
-    )
     p.add_argument("--outdir", metavar="DIR", help="also write props.csv here")
     p.set_defaults(func=cmd_props)
 

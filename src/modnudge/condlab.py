@@ -78,35 +78,14 @@ class Mesh1D:
 
 
 def _p1_mass(mesh: Mesh1D) -> sparse.csr_array:
-    """Mass matrix of the zero-boundary P1 space (interior nodes only)."""
-    w = mesh.widths
-    ndof = mesh.n_elements - 1
-    diag = np.zeros(ndof)
-    off = np.zeros(max(ndof - 1, 0))
-    for e, h in enumerate(w):
-        left, right = e - 1, e  # interior dof indices touched by element e
-        if left >= 0:
-            diag[left] += h / 3.0
-        if right < ndof:
-            diag[right] += h / 3.0
-        if left >= 0 and right < ndof:
-            off[left] += h / 6.0
-    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
+    """Mass matrix of the zero-boundary P1 space (interior nodes only).
 
-
-def _p1_stiffness(mesh: Mesh1D) -> sparse.csr_array:
+    Interior node i sits between elements i and i + 1, which add h/3 each
+    to its diagonal entry; element i + 1 alone couples nodes i and i + 1.
+    """
     w = mesh.widths
-    ndof = mesh.n_elements - 1
-    diag = np.zeros(ndof)
-    off = np.zeros(max(ndof - 1, 0))
-    for e, h in enumerate(w):
-        left, right = e - 1, e
-        if left >= 0:
-            diag[left] += 1.0 / h
-        if right < ndof:
-            diag[right] += 1.0 / h
-        if left >= 0 and right < ndof:
-            off[left] -= 1.0 / h
+    diag = w[:-1] / 3.0 + w[1:] / 3.0
+    off = w[1:-1] / 6.0
     return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
 
 
@@ -298,11 +277,6 @@ def mass_norm(ops: FemOperatorSet, c: np.ndarray) -> float:
     return float(np.sqrt(max(c @ (ops.mh @ c), 0.0)))
 
 
-def h1_norm(ops: FemOperatorSet, c: np.ndarray) -> float:
-    kh = _p1_stiffness(ops.fine)
-    return float(np.sqrt(max(c @ (ops.mh @ c) + c @ (kh @ c), 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # conditioning
 # ---------------------------------------------------------------------------
@@ -449,42 +423,3 @@ def condition_sweep(
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class DeviationFit:
-    """Linear-in-H fit of the explicit-update deviation for non-nested spaces."""
-
-    h_values: np.ndarray
-    deviations: np.ndarray
-    ratios: np.ndarray  # deviation / (H * ||e||_H1)
-    c_fit: float  # max ratio: deviation <= c_fit * H * ||e||_H1 across the sweep
-
-
-def deviation_sweep(
-    fine_n: int,
-    coarse_ms,
-    k_chi: float,
-) -> DeviationFit:
-    """Measure ||v_implicit - v_explicit|| against H for piecewise-constant coarse spaces.
-
-    The probe data are fixed smooth profiles: the bound being fit is
-    deviation <= C * H * ||e||_H1, which is only informative when the
-    fine-mesh H1 norm of the error stays bounded while H shrinks
-    (white-noise coefficients would make the right side enormous and
-    the fit meaningless).
-    """
-    x = np.linspace(0.0, 1.0, fine_n + 1)[1:-1]
-    vtilde = np.sin(np.pi * x)
-    obs = vtilde + 0.4 * np.sin(3 * np.pi * x) + 0.2 * np.sin(5 * np.pi * x)
-    hs, devs, ratios = [], [], []
-    for m in coarse_ms:
-        ops = assemble(fine_n, int(m), "piecewise-constant", k_chi)
-        v_imp = solve_step2_fem(ops, vtilde, obs)
-        v_exp = explicit_update_fem(ops, vtilde, obs)
-        dev = mass_norm(ops, v_imp - v_exp)
-        err_h1 = h1_norm(ops, obs - vtilde)
-        hs.append(1.0 / m)
-        devs.append(dev)
-        ratios.append(dev / (hs[-1] * err_h1))
-    return DeviationFit(np.asarray(hs), np.asarray(devs), np.asarray(ratios), float(max(ratios)))

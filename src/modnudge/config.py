@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .condlab import COARSE_KINDS
-from .observers import DIFFERENTIAL_FILTER, KINDS
-from .stepping import SCHEMES
+from .observers import KINDS
+from .stepping import SchemeConfig, check_scheme_operator
 
 OUTDIR_ENV = "MODNUDGE_OUTDIR"
 MODES = ("manufactured", "twin")
@@ -57,7 +57,7 @@ class RunConfig:
     chi_list: tuple[float, ...] = (0.0, 1.0, 1e4)
     k_list: tuple[float, ...] = _DEFAULT_K_LIST
     epsilons: tuple[float, ...] = ()  # empty -> 0.1 x mean truth norm
-    windows: tuple[tuple[float, float], ...] = ()  # empty -> quarters of [0.4T, T]
+    windows: tuple[tuple[float, float], ...] = ()  # empty -> default_windows(T)
     # 1D FEM conditioning sweep
     fem_n: int = 256
     fem_m: int = 16
@@ -67,26 +67,16 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        SchemeConfig(k=self.k, nu=self.nu, chi=self.chi, scheme=self.scheme,
+                     solver_tol=self.solver_tol)
         if self.operator not in KINDS:
             raise ValueError(f"unknown operator {self.operator!r}; choose from {KINDS}")
-        if self.scheme == "2a-explicit" and self.operator == DIFFERENTIAL_FILTER:
-            raise ValueError(
-                "scheme '2a-explicit' requires an idempotent observation operator "
-                "(I_H applied twice must equal I_H applied once); the differential "
-                "filter is smoothing, not idempotent.  Use scheme '2a-implicit' or "
-                "'2b' with the filter."
-            )
+        check_scheme_operator(self.scheme, self.operator)
         if self.n < 4 or self.n % 2:
             raise ValueError("grid size n must be even and at least 4")
-        for name in ("nu", "k", "T", "operator_scale", "forcing_amplitude"):
+        for name in ("T", "operator_scale", "forcing_amplitude"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.chi < 0:
-            raise ValueError("chi must be nonnegative")
-        if not 0 < self.solver_tol <= 1e-4:
-            raise ValueError("solver_tol must lie in (0, 1e-4]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         steps = round(self.T / self.k)
@@ -125,18 +115,16 @@ class RunConfig:
         return round(self.T / self.k)
 
     def horizon_windows(self) -> tuple[tuple[float, float], ...]:
-        if self.windows:
-            return self.windows
-        T = self.T
-        return ((0.4 * T, 0.6 * T), (0.6 * T, 0.8 * T), (0.8 * T, T), (0.5 * T, T))
+        return self.windows or default_windows(self.T)
+
+
+def default_windows(T: float) -> tuple[tuple[float, float], ...]:
+    """FTLE windows of a run ending at T: the thirds of [0.4T, T], then [0.5T, T]."""
+    return ((0.4 * T, 0.6 * T), (0.6 * T, 0.8 * T), (0.8 * T, T), (0.5 * T, T))
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(",") if x.strip())
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
 def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:

@@ -1,4 +1,4 @@
-"""Snapshots, checkpoints, and the CSV tables the experiment drivers emit.
+"""Field snapshots and the CSV tables the experiment drivers emit.
 
 Field snapshot (binary): a fixed 32-byte header
 
@@ -13,9 +13,6 @@ followed by ncomp * n * n float64 grid values in C order.  Values are
 stored, not coefficients, and reload through the value-seeded
 constructors, so a save/load cycle is bit-exact.
 
-Checkpoints are a one-line JSON header (scheme parameters plus the
-current time) followed by the same binary field payload.
-
 All CSV output uses a single header line and %.17g number formatting,
 which round-trips float64 exactly: rerunning a deterministic experiment
 reproduces its CSVs byte for byte.
@@ -23,9 +20,7 @@ reproduces its CSVs byte for byte.
 
 from __future__ import annotations
 
-import json
 import struct
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +28,6 @@ import numpy as np
 from .condlab import SweepRow
 from .predictability import HorizonReport
 from .spectral import Field, ScalarField, SpectralVectorField, get_grid
-from .stepping import ForecastState, SchemeConfig
 
 MAGIC = b"MNDG"
 FORMAT_VERSION = 1
@@ -59,14 +53,9 @@ CONVERGENCE_COLUMNS = ("scheme", "k", "error", "rate")
 CONDLAB_COLUMNS = ("n", "m", "space_kind", "k_chi", "cond", "cond_ratio", "deviation")
 
 
-def _field_payload(field: Field) -> tuple[int, np.ndarray]:
+def save_field(path, field: Field):
     vals = np.ascontiguousarray(field.values, dtype=np.float64)
     ncomp = 1 if vals.ndim == 2 else vals.shape[0]
-    return ncomp, vals
-
-
-def save_field(path, field: Field):
-    ncomp, vals = _field_payload(field)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, ncomp, field.grid.n,
                           field.grid.length, field.time)
     with open(path, "wb") as fh:
@@ -100,95 +89,6 @@ def load_field(path) -> Field:
     return SpectralVectorField.from_grid(grid, data.reshape(ncomp, n, n), time)
 
 
-def save_field_csv(path, field: Field):
-    """Plain-text snapshot: one sample per row, for plotting tools."""
-    ncomp, vals = _field_payload(field)
-    flat = vals.reshape(ncomp, -1)
-    with open(path, "w") as fh:
-        fh.write(f"# n={field.grid.n} length={field.grid.length!r} "
-                 f"time={field.time!r} ncomp={ncomp}\n")
-        fh.write("i,j," + ",".join(f"v{c + 1}" for c in range(ncomp)) + "\n")
-        n = field.grid.n
-        for idx in range(n * n):
-            i, j = divmod(idx, n)
-            nums = ",".join("%.17g" % flat[c, idx] for c in range(ncomp))
-            fh.write(f"{i},{j},{nums}\n")
-
-
-def load_field_csv(path) -> Field:
-    with open(path) as fh:
-        meta = fh.readline()
-        if not meta.startswith("# "):
-            raise ValueError("missing snapshot metadata line")
-        kv = dict(item.split("=", 1) for item in meta[2:].split())
-        n, length = int(kv["n"]), float(kv["length"])
-        time, ncomp = float(kv["time"]), int(kv["ncomp"])
-        fh.readline()  # column names
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    vals = np.empty((ncomp, n, n))
-    ii = data[:, 0].astype(int)
-    jj = data[:, 1].astype(int)
-    for c in range(ncomp):
-        vals[c, ii, jj] = data[:, 2 + c]
-    grid = get_grid(n, length)
-    if ncomp == 1:
-        return ScalarField.from_grid(grid, vals[0], time)
-    return SpectralVectorField.from_grid(grid, vals, time)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(path, state: ForecastState):
-    cfg = state.config
-    meta = {
-        "kind": "checkpoint",
-        "version": FORMAT_VERSION,
-        "time": state.time,
-        "scheme": cfg.scheme,
-        "k": cfg.k,
-        "nu": cfg.nu,
-        "chi": cfg.chi,
-        "solver_tol": cfg.solver_tol,
-        "solver_maxit": cfg.solver_maxit,
-        "analysis_tol": cfg.analysis_tol,
-    }
-    ncomp, vals = _field_payload(state.velocity)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, ncomp, state.velocity.grid.n,
-                          state.velocity.grid.length, state.velocity.time)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
-        fh.write(header)
-        fh.write(vals.tobytes(order="C"))
-
-
-def load_checkpoint(path) -> ForecastState:
-    with open(path, "rb") as fh:
-        meta = json.loads(fh.readline())
-        if meta.get("kind") != "checkpoint":
-            raise ValueError("not a checkpoint file")
-        ncomp, n, length, time = _read_header(fh)
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if ncomp != 2:
-        raise ValueError("checkpoints store a velocity field (two components)")
-    if data.size != ncomp * n * n:
-        raise ValueError("checkpoint payload size does not match its header")
-    grid = get_grid(n, length)
-    velocity = SpectralVectorField.from_grid(grid, data.reshape(2, n, n), time)
-    cfg = SchemeConfig(
-        k=meta["k"],
-        nu=meta["nu"],
-        chi=meta["chi"],
-        scheme=meta["scheme"],
-        solver_tol=meta["solver_tol"],
-        solver_maxit=meta["solver_maxit"],
-        analysis_tol=meta["analysis_tol"],
-    )
-    return ForecastState(time=meta["time"], velocity=velocity, config=cfg)
-
-
 # ---------------------------------------------------------------------------
 # CSV tables
 # ---------------------------------------------------------------------------
@@ -209,29 +109,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-class CsvAppender:
-    """Row-at-a-time CSV writer; the header goes out with the first row."""
-
-    def __init__(self, path, header: Sequence[str]):
-        self.path = Path(path)
-        self.header = tuple(header)
-        self._started = False
-
-    def append(self, row: Sequence):
-        if len(row) != len(self.header):
-            raise ValueError(f"expected {len(self.header)} cells, got {len(row)}")
-        mode = "a" if self._started else "w"
-        with open(self.path, mode) as fh:
-            if not self._started:
-                fh.write(",".join(self.header) + "\n")
-                self._started = True
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def identity_ledger(path) -> CsvAppender:
-    return CsvAppender(path, LEDGER_COLUMNS)
 
 
 def write_horizon_csv(path, rows: Iterable[tuple[str, HorizonReport]]):

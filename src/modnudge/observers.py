@@ -38,6 +38,7 @@ CELL_AVERAGE = "cell-average"
 DIFFERENTIAL_FILTER = "differential-filter"
 
 KINDS = (SPECTRAL_PROJECTION, CELL_AVERAGE, DIFFERENTIAL_FILTER)
+IDEMPOTENT_KINDS = (SPECTRAL_PROJECTION, CELL_AVERAGE)  # the projections: I_H^2 = I_H
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class ObservationOperator:
     """One observation operator bound to a grid.
 
     `h` is the resolution length entering the convergence hypotheses;
-    `idempotent` decides whether the explicit analysis update is exact.
     `scale` is the kind's native parameter (K_c, m, or H itself).
     """
 
@@ -53,7 +53,6 @@ class ObservationOperator:
     grid: TorusGrid
     h: float
     scale: float
-    idempotent: bool
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
     mode_mask: np.ndarray | None = field(default=None, repr=False, compare=False)
     cells: int | None = None
@@ -92,14 +91,14 @@ class ObservationOperator:
         return np.broadcast_to(means, blocks.shape).reshape(vals.shape)
 
     @property
+    def idempotent(self) -> bool:
+        """Whether I_H^2 = I_H, which makes the explicit analysis update exact."""
+        return self.kind in IDEMPOTENT_KINDS
+
+    @property
     def commutes_with_gradient(self) -> bool:
         """True when grad(I_H w) = I_H(grad w) mode by mode."""
         return self.kind != CELL_AVERAGE
-
-    def observed_mode_mask(self) -> np.ndarray:
-        if self.mode_mask is None:
-            raise ValueError(f"{self.kind} has no sharp observed-mode set")
-        return self.mode_mask
 
 
 def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOperator:
@@ -112,7 +111,6 @@ def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOpera
         grid=grid,
         h=h,
         scale=float(k_cutoff),
-        idempotent=True,
         multiplier=mask.astype(float),
         mode_mask=mask,
     )
@@ -126,7 +124,6 @@ def make_cell_average(grid: TorusGrid, m: int) -> ObservationOperator:
         grid=grid,
         h=grid.length / m,
         scale=float(m),
-        idempotent=True,
         cells=m,
     )
 
@@ -140,7 +137,6 @@ def make_differential_filter(grid: TorusGrid, h: float) -> ObservationOperator:
         grid=grid,
         h=h,
         scale=h,
-        idempotent=False,
         multiplier=mult,
     )
 

@@ -362,14 +362,6 @@ def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     return np.stack([c[0] - grid.kx * scale, c[1] - grid.ky * scale])
 
 
-def dealias(f: Field) -> Field:
-    g = f.grid
-    c = f.coeffs * g.dealias_mask
-    if isinstance(f, ScalarField):
-        return ScalarField(g, _readonly(c), f.time)
-    return SpectralVectorField(g, _readonly(c), f.time)
-
-
 # ---------------------------------------------------------------------------
 # advection
 # ---------------------------------------------------------------------------
@@ -469,51 +461,11 @@ def hminus1_norm(f: Field) -> float:
     return float(math.sqrt(f.grid.length**2 * s))
 
 
-def _lp_norm(f: Field, p: int) -> float:
-    v = f.values
-    mag2 = v[0] ** 2 + v[1] ** 2 if v.ndim == 3 else v**2
-    return float(np.sum(mag2 ** (p / 2)) * f.grid.cell_area) ** (1.0 / p)
-
-
 def l4_norm(f: Field) -> float:
     """L4 norm by grid quadrature (exact only for band-limited |f|^4)."""
-    return _lp_norm(f, 4)
-
-
-def l6_norm(f: Field) -> float:
-    return _lp_norm(f, 6)
-
-
-@dataclass(frozen=True)
-class NormBundle:
-    """The norms the stability and error ledgers consume."""
-
-    l2: float
-    h1: float
-    l4: float
-    l6: float
-    hminus1: float
-
-
-def norm_bundle(f: Field) -> NormBundle:
-    return NormBundle(
-        l2=l2_norm(f),
-        h1=h1_seminorm(f),
-        l4=l4_norm(f),
-        l6=l6_norm(f),
-        hminus1=hminus1_norm(f),
-    )
-
-
-def grad_norm_observed(v: SpectralVectorField, mode_mask: np.ndarray) -> float:
-    """H1 seminorm restricted to the modes selected by `mode_mask`.
-
-    Used for the ledger term that projects the gradient mode-wise (the
-    projection commutes with differentiation on the torus).
-    """
-    w = v.grid.hermitian_weights * v.grid.k2 * mode_mask
-    s = np.sum(w * np.abs(v.coeffs) ** 2)
-    return float(math.sqrt(v.grid.length**2 * s))
+    v = f.values
+    mag2 = v[0] ** 2 + v[1] ** 2 if v.ndim == 3 else v**2
+    return float(np.sum(mag2**2) * f.grid.cell_area) ** 0.25
 
 
 # ---------------------------------------------------------------------------

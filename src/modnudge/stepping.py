@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .observers import ObservationOperator
+from .observers import IDEMPOTENT_KINDS, ObservationOperator
 from .solvers import SolveInfo, solve_gmres
 from .spectral import (
     SpectralVectorField,
@@ -84,6 +84,16 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.solver_maxit < 1:
             raise ValueError("solver_maxit must be at least 1")
+
+
+def check_scheme_operator(scheme: str, operator_kind: str):
+    """Refuse `2a-explicit` with an operator whose closed-form update is not exact."""
+    if scheme == "2a-explicit" and operator_kind not in IDEMPOTENT_KINDS:
+        raise ValueError(
+            "scheme '2a-explicit' requires an idempotent observation operator "
+            "(I_H applied twice must equal I_H applied once), which "
+            f"{operator_kind!r} is not.  Use scheme '2a-implicit' or '2b' with it."
+        )
 
 
 @dataclass
@@ -280,33 +290,6 @@ class TruthIntegrator:
         self.time = t_next
         self.last_iterations = info.iterations
         return self.current
-
-
-def truth_integrate(
-    u0: SpectralVectorField,
-    forcing: Callable[[float], SpectralVectorField],
-    k: float,
-    T: float,
-    nu: float,
-    sample_every: int = 1,
-    solver_tol: float = DEFAULT_SOLVER_TOL,
-) -> tuple[list[float], list[SpectralVectorField]]:
-    """Integrate to T and return sampled (times, fields), including t=0.
-
-    Materializes the trajectory; meant for short runs.  Long runs drive
-    TruthIntegrator directly and discard states as they go.
-    """
-    nsteps = round(T / k)
-    if abs(nsteps * k - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer number of steps")
-    stepper = TruthIntegrator(u0, forcing, k, nu, solver_tol=solver_tol)
-    times, fields = [u0.time], [u0]
-    for n in range(1, nsteps + 1):
-        u = stepper.step()
-        if n % sample_every == 0:
-            times.append(u.time)
-            fields.append(u)
-    return times, fields
 
 
 # ---------------------------------------------------------------------------

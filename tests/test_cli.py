@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import modnudge
 from modnudge.cli import main
 
 TINY_TWIN = [
@@ -142,15 +144,26 @@ class TestCondlab:
         assert (tmp_path / "a" / "condlab.csv").read_bytes() == \
             (tmp_path / "b" / "condlab.csv").read_bytes()
 
+    def test_config_file_mode_does_not_change_the_sweep(self, tmp_path):
+        keys = ["fem_n=64", "fem_m=8", "kchi_list=1,100"]
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("mode = manufactured\n" + "\n".join(k.replace("=", " = ") for k in keys))
+        assert main(["condlab", "--config", str(cfg), "--outdir", str(tmp_path / "f")]) == 0
+        sets = [arg for key in keys for arg in ("--set", key)]
+        assert main(["condlab", "--outdir", str(tmp_path / "s"), *sets]) == 0
+        assert (tmp_path / "f" / "condlab.csv").read_bytes() == \
+            (tmp_path / "s" / "condlab.csv").read_bytes()
+
 
 class TestProps:
-    def test_pass_and_tamper_exit_codes(self, tmp_path, capsys):
+    def test_pass_and_tamper_exit_codes(self, tmp_path, capsys, request):
         assert main(["props", "--count", "12", "--outdir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "all hard property suites passed" in out
         assert (tmp_path / "props.csv").exists()
 
-        assert main(["props", "--count", "12", "--tamper", "gain"]) == 1
+        request.getfixturevalue("tampered_gain")
+        assert main(["props", "--count", "12"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "equivalence" in out
 
@@ -176,9 +189,12 @@ class TestErrors:
         assert not (tmp_path / "twin_errors.csv").exists()
 
     def test_module_entry_point(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(modnudge.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "modnudge.cli", "props", "--count", "12"],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert "all hard property suites passed" in proc.stdout

@@ -86,6 +86,14 @@ class TestAssembly:
         b = cl._coupling(cl.Mesh1D.uniform(n), cl.Mesh1D.uniform(7), "piecewise-constant")
         assert np.max(np.abs(b.sum(axis=1) - 1.0 / n)) < 1e-16
 
+    def test_p1_mass_on_a_non_uniform_mesh_is_the_element_sum(self):
+        nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.6, 0.85, 0.9, 1.0])
+        want = np.zeros((nodes.size, nodes.size))
+        for e, h in enumerate(np.diff(nodes)):  # element mass h/6 [[2, 1], [1, 2]]
+            want[e:e + 2, e:e + 2] += [[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]
+        got = cl._p1_mass(cl.Mesh1D(nodes)).toarray()
+        assert np.array_equal(got, want[1:-1, 1:-1])
+
     def test_coarse_mass_kinds(self):
         nested = cl.assemble(16, 4, "nested-linear", 1.0)
         assert np.allclose(np.diag(nested.mH.toarray()), 2 / (3 * 4), atol=1e-15)
@@ -205,12 +213,23 @@ class TestProjection:
         assert cl.idempotency_defect(flat, rng) > 1e-4
 
     def test_deviation_scales_linearly_in_coarse_width(self):
-        fit = cl.deviation_sweep(128, [8, 16, 32], 10.0)
-        assert np.all(np.diff(fit.deviations) < 0)  # shrinks with H
-        assert fit.ratios.max() / fit.ratios.min() < 4.0  # C roughly constant
-        assert fit.c_fit == pytest.approx(fit.ratios.max())
-        assert np.all(fit.deviations <= fit.c_fit * fit.h_values * fit.deviations[0] /
-                      (fit.ratios[0] * fit.h_values[0]) + 1e-12)
+        # a smooth probe keeps ||e||_H1 fixed while H shrinks (white-noise
+        # coefficients would not); for e = 0.4 sin(3 pi x) + 0.2 sin(5 pi x)
+        # ||e||^2 = 0.1 and ||e'||^2 = 1.22 pi^2
+        x = np.linspace(0.0, 1.0, 129)[1:-1]
+        vtilde = np.sin(np.pi * x)
+        obs = vtilde + 0.4 * np.sin(3 * np.pi * x) + 0.2 * np.sin(5 * np.pi * x)
+        e_h1 = math.sqrt(0.1 + 1.22 * math.pi**2)
+        coarse_h, deviations = [], []
+        for m in (8, 16, 32):
+            ops = cl.assemble(128, m, "piecewise-constant", 10.0)
+            v_imp = cl.solve_step2_fem(ops, vtilde, obs)
+            v_exp = cl.explicit_update_fem(ops, vtilde, obs)
+            coarse_h.append(1.0 / m)
+            deviations.append(cl.mass_norm(ops, v_imp - v_exp))
+        ratios = np.asarray(deviations) / (np.asarray(coarse_h) * e_h1)
+        assert np.all(np.diff(deviations) < 0)  # shrinks with H
+        assert ratios.max() / ratios.min() < 4.0  # deviation <= C H ||e||_H1, C roughly constant
 
 
 class TestConditioning:

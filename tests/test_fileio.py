@@ -5,7 +5,6 @@ from modnudge import fileio
 from modnudge.condlab import SweepRow
 from modnudge.predictability import HorizonReport
 from modnudge.spectral import ScalarField, get_grid, random_divfree_field
-from modnudge.stepping import ForecastState, SchemeConfig
 
 
 @pytest.fixture
@@ -49,52 +48,8 @@ class TestFieldSnapshots:
         with pytest.raises(ValueError, match="payload"):
             fileio.load_field(path)
 
-    def test_csv_round_trip(self, grid, tmp_path):
-        field = random_divfree_field(grid, np.random.default_rng(11), normalize=0.4).at_time(2.25)
-        path = tmp_path / "u.csv"
-        fileio.save_field_csv(path, field)
-        back = fileio.load_field_csv(path)
-        assert back.time == field.time
-        # %.17g reproduces float64 exactly
-        assert np.array_equal(back.values, field.values)
-
-
-class TestCheckpoints:
-    def test_round_trip_restores_state(self, grid, tmp_path):
-        cfg = SchemeConfig(k=0.05, nu=0.01, chi=40.0, scheme="2a-implicit",
-                           solver_tol=1e-11, analysis_tol=1e-13)
-        state = ForecastState(time=1.35, velocity=random_divfree_field(grid, np.random.default_rng(5)),
-                              config=cfg)
-        path = tmp_path / "run.ckpt"
-        fileio.save_checkpoint(path, state)
-        back = fileio.load_checkpoint(path)
-        assert back.time == state.time
-        assert back.config == cfg
-        assert np.array_equal(back.velocity.values, state.velocity.values)
-
-    def test_rejects_field_file(self, grid, tmp_path):
-        path = tmp_path / "u.field"
-        fileio.save_field(path, random_divfree_field(grid, np.random.default_rng(2)))
-        with pytest.raises(ValueError):
-            fileio.load_checkpoint(path)
-
 
 class TestCsvTables:
-    def test_appender_writes_header_once(self, tmp_path):
-        path = tmp_path / "ledger.csv"
-        led = fileio.identity_ledger(path)
-        led.append([64, 0.1, 1.0, 2.0, 3.0, 4.0, 1e-15, 2e-15, 3e-15])
-        led.append([64, 0.2, 0.5, 1.0, 1.5, 2.0, 1e-15, 2e-15, 3e-15])
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        assert lines[0] == ",".join(fileio.LEDGER_COLUMNS)
-        assert lines[1].startswith("64,")
-
-    def test_appender_rejects_ragged_row(self, tmp_path):
-        led = fileio.identity_ledger(tmp_path / "l.csv")
-        with pytest.raises(ValueError, match="cells"):
-            led.append([1, 2.0])
-
     def test_horizon_csv(self, tmp_path):
         rep = HorizonReport(lam=0.5, doubling=np.log(2) / 0.5,
                             doubling_label="doubling-time", epsilon=0.1,
