@@ -12,6 +12,15 @@ Three families, all self-adjoint and non-expansive in L2:
 The projections are idempotent; the filter is not, which is exactly
 what makes the general-form analysis update differ from the shortcut
 formula (see assimilate.verify_form_b).
+
+The spectral projection and the filter are mode multipliers.  The cell
+average is not, but it is separable and shift-covariant by whole cells,
+so it acts on the half-spectrum coefficients without any transform:
+two small matrices fold the n x (n/2+1) block onto the m x m cell
+lattice (box symbol times aliasing), the coarse block is completed with
+its Hermitian mirror, and two more matrices unfold it (see
+`_alias_fold`).  The result equals the block mean of the grid values,
+transformed back, to roundoff.
 """
 
 from __future__ import annotations
@@ -23,8 +32,6 @@ import numpy as np
 
 from .spectral import (
     Field,
-    ScalarField,
-    SpectralVectorField,
     TorusGrid,
     _readonly,
     h1_seminorm,
@@ -54,41 +61,32 @@ class ObservationOperator:
     h: float
     scale: float
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
-    mode_mask: np.ndarray | None = field(default=None, repr=False, compare=False)
     cells: int | None = None
+    # cell average only: the factors (E_x, E_y, O_x, O_y, -q) of `_alias_fold`
+    fold: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     # -- application -----------------------------------------------------
 
     def apply(self, w: Field) -> Field:
         if w.grid != self.grid:
             raise ValueError("field and observation operator live on different grids")
-        if self.kind == CELL_AVERAGE:
-            vals = self._cell_average_values(w.values)
-            if isinstance(w, ScalarField):
-                return ScalarField.from_grid(self.grid, vals, w.time)
-            return SpectralVectorField.from_grid(self.grid, vals, w.time)
-        c = _readonly(w.coeffs * self.multiplier)
-        if isinstance(w, ScalarField):
-            return ScalarField(self.grid, c, w.time)
-        return SpectralVectorField(self.grid, c, w.time)
+        return type(w)(self.grid, _readonly(self._apply(w.coeffs)), w.time)
 
     def apply_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Array-level application on (..., n, n//2+1) coefficient blocks.
 
         The solver inner loops live on raw arrays; this is the same
-        operator as `apply` without the field wrappers.
+        operator as `apply` without the field wrappers.  (`apply` does not
+        call it, so a profiler that wraps both counts one call per use.)
         """
-        if self.kind == CELL_AVERAGE:
-            return self.grid.to_coeffs(self._cell_average_values(self.grid.to_values(c)))
-        return c * self.multiplier
+        return self._apply(c)
 
-    def _cell_average_values(self, vals: np.ndarray) -> np.ndarray:
-        n, m = self.grid.n, self.cells
-        b = n // m
-        lead = vals.shape[:-2]
-        blocks = vals.reshape(lead + (m, b, m, b))
-        means = blocks.mean(axis=(-3, -1), keepdims=True)
-        return np.broadcast_to(means, blocks.shape).reshape(vals.shape)
+    def _apply(self, c: np.ndarray) -> np.ndarray:
+        if self.fold is None:
+            return c * self.multiplier
+        ex, ey, ox, oy, neg = self.fold
+        g = ex @ c @ ey
+        return ox @ (g + np.conj(g[..., neg[:, None], neg])) @ oy
 
     @property
     def idempotent(self) -> bool:
@@ -112,7 +110,6 @@ def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOpera
         h=h,
         scale=float(k_cutoff),
         multiplier=mask.astype(float),
-        mode_mask=mask,
     )
 
 
@@ -125,7 +122,37 @@ def make_cell_average(grid: TorusGrid, m: int) -> ObservationOperator:
         h=grid.length / m,
         scale=float(m),
         cells=m,
+        fold=_alias_fold(grid, m),
     )
+
+
+def _alias_fold(grid: TorusGrid, m: int) -> tuple[np.ndarray, ...]:
+    """Factors of the cell average on half-spectrum coefficients.
+
+    Averaging over b = n/m points multiplies mode k by the box symbol
+    D(k) = (1/b) sum_{r<b} exp(2 pi i k r / n); sampling on the m-point
+    cell lattice then aliases every k onto q = k mod m, and broadcasting
+    back gives mode k the coarse coefficient of q times conj(D(k)).  Per
+    axis that is E (fold, rows q) and O (unfold, columns q).  The ky
+    half-spectrum holds ky = 0..n/2 only, so E_y weighs the self-conjugate
+    columns ky = 0 and n/2 by 1/2 and the coarse coefficients are
+    completed with their Hermitian mirror, F = G + conj(G[-q, -q]); for a
+    non-Hermitian edge column this keeps its Hermitian part, which is the
+    part an inverse real transform reads.
+    """
+    n, half = grid.n, grid.n // 2 + 1
+    b = n // m
+    kx = np.arange(n)
+    box = np.exp(2j * np.pi * np.outer(kx, np.arange(b)) / n).mean(axis=1)
+    box[(kx % m == 0) & (kx > 0)] = 0.0  # D vanishes on nonzero multiples of m
+    alias = box[:, None] * (kx[:, None] % m == np.arange(m))  # D(k) at [k, k mod m]
+    edge = np.ones(half)
+    edge[[0, -1]] = 0.5
+    ex = np.ascontiguousarray(alias.T)
+    ey = edge[:, None] * alias[:half]
+    ox = np.conj(alias)
+    oy = np.ascontiguousarray(ox[:half].T)
+    return ex, ey, ox, oy, (-np.arange(m)) % m
 
 
 def make_differential_filter(grid: TorusGrid, h: float) -> ObservationOperator:

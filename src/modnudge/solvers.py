@@ -161,7 +161,6 @@ def solve_gmres(
     # step at n = 128 and ran 20-25% slower.
     V = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))  # row j holds Hessenberg column j
-    givens = np.zeros((restart, 2))
     scratch = np.empty(n)
 
     r = bf - matvec(x) if x.any() else bf
@@ -175,6 +174,7 @@ def solve_gmres(
         V[0] *= 1 / s0
         S = np.zeros(restart + 1)
         S[0] = s0
+        givens = []  # (c, s) of each column's rotation, as Python floats
         for col in range(restart):
             w = V[col + 1]
             w[:] = psolve(matvec(V[col]))
@@ -190,13 +190,16 @@ def solve_gmres(
                 breakdown = True
             else:
                 w *= 1 / h1
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, mag = dlartg(h[col, col], h[col, col + 1])
-            givens[col] = c, s
-            h[col, col], h[col, col + 1] = mag, 0.0
+            # the earlier rotations, in float arithmetic: the same IEEE
+            # operations as on numpy scalars, without their indexing cost
+            hc = h[col, : col + 2].tolist()
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = hc[k], hc[k + 1]
+                hc[k], hc[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = dlartg(hc[col], hc[col + 1])
+            givens.append((c, s))
+            hc[col], hc[col + 1] = mag, 0.0
+            h[col, : col + 2] = hc
             t = -s * S[col]
             S[col], S[col + 1] = c * S[col], t
             presid = abs(t)

@@ -357,9 +357,15 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
 
 
 def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    kdotc = grid.kx * c[0] + grid.ky * c[1]
-    scale = kdotc * grid.inv_k2
-    return np.stack([c[0] - grid.kx * scale, c[1] - grid.ky * scale])
+    # c_j - k_j (k . c) / |k|^2, evaluated in place: no stack, two temporaries
+    scale = grid.kx * c[0]
+    scale += grid.ky * c[1]
+    scale *= grid.inv_k2
+    out = np.empty((2,) + scale.shape, dtype=scale.dtype)
+    for j, kj in enumerate((grid.kx, grid.ky)):
+        np.multiply(kj, scale, out=out[j])
+        np.subtract(c[j], out[j], out=out[j])
+    return out
 
 
 # ---------------------------------------------------------------------------

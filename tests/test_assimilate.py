@@ -193,7 +193,7 @@ class TestStep2B:
         res = da.step2b(vtilde, op.apply(u), op, k, chi, nu)
         assert res.path == "diagonal"
         helm = 1.0 + k * nu * grid.k2
-        mask = op.mode_mask
+        mask = op.multiplier.astype(bool)
         want_obs = (helm * vtilde.coeffs + k * chi * u.coeffs * op.multiplier) / (helm + k * chi)
         assert np.max(np.abs((res.v.coeffs - want_obs) * mask)) < 1e-12
         assert np.max(np.abs((res.v.coeffs - vtilde.coeffs) * ~mask)) < 1e-14

@@ -7,11 +7,28 @@ import pytest
 
 from modnudge import observers as obs
 from modnudge import spectral as sp
+from modnudge import stepping as st
 
 
 @pytest.fixture
 def grid():
     return sp.get_grid(32)
+
+
+def cell_average_oracle(op, c):
+    """The cell average through the transforms: block means of the grid values."""
+    grid, m = op.grid, op.cells
+    b = grid.n // m
+    vals = grid.to_values(c)
+    blocks = vals.reshape(vals.shape[:-2] + (m, b, m, b))
+    means = blocks.mean(axis=(-3, -1), keepdims=True)
+    return grid.to_coeffs(np.broadcast_to(means, blocks.shape).reshape(vals.shape))
+
+
+def random_coeffs(grid, rng, lead=(2,)):
+    """Arbitrary complex coefficients: the edge columns are not Hermitian."""
+    shape = lead + grid.coeff_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def all_operators(grid):
@@ -80,6 +97,60 @@ class TestCellAverage:
             want = comp_in.reshape(8, 4, 8, 4).mean(axis=(1, 3))
             got = comp_out.reshape(8, 4, 8, 4).mean(axis=(1, 3))
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+class TestCellAverageFold:
+    """`apply_coeffs` folds the half-spectrum onto the cell lattice and back,
+    without transforms; the block mean of the grid values is the oracle."""
+
+    @pytest.mark.parametrize("n, m", [(32, 8), (64, 16), (96, 32), (64, 64), (64, 1)])
+    def test_matches_the_transform_oracle(self, n, m):
+        grid = sp.get_grid(n)
+        op = obs.make_cell_average(grid, m)
+        rng = np.random.default_rng(n + m)
+        for lead in [(2,), ()]:
+            c = random_coeffs(grid, rng, lead)
+            want = cell_average_oracle(op, c)
+            err = np.linalg.norm(op.apply_coeffs(c) - want) / np.linalg.norm(want)
+            assert err <= 5e-14
+
+    def test_one_cell_keeps_exactly_the_mean(self):
+        # the box symbol vanishes exactly on nonzero multiples of m, so no
+        # roundoff leaks into the other modes
+        grid = sp.get_grid(64)
+        c = random_coeffs(grid, np.random.default_rng(15))
+        want = np.zeros_like(c)
+        want[:, 0, 0] = c[:, 0, 0].real
+        assert np.array_equal(obs.make_cell_average(grid, 1).apply_coeffs(c), want)
+
+    def test_self_adjoint_in_coeff_dot(self, grid):
+        op = obs.make_cell_average(grid, 8)
+        rng = np.random.default_rng(12)
+        a, b = random_coeffs(grid, rng), random_coeffs(grid, rng)
+        lhs = sp.coeff_dot(grid, op.apply_coeffs(a), b)
+        rhs = sp.coeff_dot(grid, a, op.apply_coeffs(b))
+        scale = math.sqrt(sp.coeff_dot(grid, a, a) * sp.coeff_dot(grid, b, b))
+        assert abs(lhs - rhs) <= 1e-14 * scale
+
+    def test_idempotent_on_a_real_field(self, grid):
+        op = obs.make_cell_average(grid, 8)
+        w = sp.SpectralVectorField.from_grid(grid, np.random.default_rng(13).standard_normal((2, 32, 32)))
+        once = op.apply(w)
+        assert sp.l2_norm(op.apply(once) - once) <= 1e-14 * sp.l2_norm(w)
+
+    def test_fused_solve_takes_the_oracle_krylov_path(self, monkeypatch):
+        grid = sp.get_grid(32)
+        rng = np.random.default_rng(14)
+        v, u, f = (sp.random_divfree_field(grid, rng) for _ in range(3))
+        op = obs.make_cell_average(grid, 8)
+        cfg = st.SchemeConfig(k=0.01, nu=1e-3, chi=1e4, scheme="standard")
+        state = st.ForecastState(0.0, v, cfg)
+        u_obs = op.apply(u)
+        fold = st.step_standard_nudging(state, f, u_obs, op)
+        monkeypatch.setattr(obs.ObservationOperator, "apply_coeffs", cell_average_oracle)
+        oracle = st.step_standard_nudging(state, f, u_obs, op)
+        assert fold.iterations == oracle.iterations > 20
+        assert sp.l2_norm(fold.v - oracle.v) <= 1e-12 * sp.l2_norm(oracle.v)
 
 
 class TestDifferentialFilter:

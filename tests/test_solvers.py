@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
 from modnudge.solvers import KrylovError, solve_cg, solve_gmres
@@ -231,3 +232,25 @@ def test_gmres_matches_scipy_on_a_restarted_stiff_forecast_solve():
     )
     assert info.iterations > 3 * 64
     assert info.residual <= st.DEFAULT_SOLVER_TOL
+
+
+def test_gmres_matches_scipy_on_the_fused_cell_average_solve():
+    # standard nudging with the cell average at chi = 1e4: the observer
+    # inside the operator makes this the longest single-cycle solve of a
+    # twin step
+    grid = sp.get_grid(32)
+    rng = np.random.default_rng(0)
+    v = sp.random_divfree_field(grid, rng)
+    u = sp.random_divfree_field(grid, rng)
+    op = obs.make_cell_average(grid, 8)
+    k, nu, chi = 0.01, 1e-3, 1e4
+    apply_op, precondition = st._momentum_operator(grid, v, k, nu, nudge=(op, chi))
+    rhs = v.coeffs / k + chi * sp._leray_coeffs(grid, op.apply_coeffs(u.coeffs))
+    info = _assert_matches_scipy(
+        apply_op,
+        rhs,
+        x0=v.coeffs.copy(),
+        tol=st.DEFAULT_SOLVER_TOL,
+        precondition=precondition,
+    )
+    assert 20 < info.iterations < 64  # one cycle

@@ -140,6 +140,16 @@ class TestLeray:
         p = sp.leray_project(v)
         assert p.max_divergence() < 1e-12 * sp.l2_norm(p)
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_in_place_kernel_is_bitwise_the_term_by_term_formula(self, n):
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(n)
+        shape = (2,) + g.coeff_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        scale = (g.kx * c[0] + g.ky * c[1]) * g.inv_k2
+        want = np.stack([c[0] - g.kx * scale, c[1] - g.ky * scale])
+        assert sp._leray_coeffs(g, c).tobytes() == want.tobytes()
+
 
 def oracle_advect_double_grid(a, w):
     """Skew advection computed alias-free on a doubled grid.
