@@ -134,7 +134,8 @@ class TestCellAverageFold:
 
     def test_idempotent_on_a_real_field(self, grid):
         op = obs.make_cell_average(grid, 8)
-        w = sp.SpectralVectorField.from_grid(grid, np.random.default_rng(13).standard_normal((2, 32, 32)))
+        vals = np.random.default_rng(13).standard_normal((2, 32, 32))
+        w = sp.SpectralVectorField.from_grid(grid, vals)
         once = op.apply(w)
         assert sp.l2_norm(op.apply(once) - once) <= 1e-14 * sp.l2_norm(w)
 
