@@ -4,7 +4,7 @@ Every subcommand reads an optional ``--config`` file (flat key=value
 text), applies ``--set key=value`` overrides, and writes CSVs with a
 one-line header into the output directory.  ``--plot-data`` additionally
 emits two-column files, one curve per file.  The MODNUDGE_OUTDIR
-environment variable overrides the output directory from anywhere.
+environment variable overrides the output directory of every subcommand.
 
 Identical config and seed produce bit-identical CSV outputs.
 """
@@ -12,17 +12,14 @@ Identical config and seed produce bit-identical CSV outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
+from . import condlab, fileio
 from . import experiments as ex
-from . import fileio
 from .config import (
-    OUTDIR_ENV,
     RunConfig,
     _parse_float_list,
     _parse_windows,
@@ -53,19 +50,19 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _load(args, mode: str) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config(mode)
+    cfg = default_config(mode)
+    if args.config:
+        cfg = load_config(args.config, base=cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
     if args.outdir:
         cfg = replace(cfg, outdir=args.outdir)
-    if cfg.mode != mode:
-        cfg = replace(cfg, mode=mode)
     return cfg
 
 
 def cmd_converge(args) -> int:
     cfg = _load(args, "manufactured")
-    outdir = resolve_outdir(cfg)
+    outdir = resolve_outdir(cfg.outdir)
     schemes = args.schemes.split(",") if args.schemes else ex.CONVERGE_SCHEMES
     tables = ex.run_converge(cfg, schemes=schemes)
     fileio.write_convergence_csv(
@@ -93,7 +90,7 @@ def cmd_converge(args) -> int:
 
 def cmd_twin(args) -> int:
     cfg = _load(args, "twin")
-    outdir = resolve_outdir(cfg)
+    outdir = resolve_outdir(cfg.outdir)
     variants = ex.twin_variants(cfg, include_alternates=not args.no_alternates)
     result = ex.run_twin(cfg, variants=variants)
 
@@ -174,8 +171,7 @@ def cmd_horizon(args) -> int:
                     f"lam={rep.lam:+.4f} {rep.doubling_label}={rep.doubling:.3f} "
                     f"tau_eps={rep.epsilon_horizon:.3f}"
                 )
-    outdir = Path(os.environ.get(OUTDIR_ENV) or args.outdir or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = resolve_outdir(args.outdir or ".")
     fileio.write_horizon_csv(outdir / "horizons.csv", rows)
     print(f"wrote {outdir / 'horizons.csv'}")
     return 0
@@ -183,8 +179,10 @@ def cmd_horizon(args) -> int:
 
 def cmd_condlab(args) -> int:
     cfg = _load(args, "twin")
-    outdir = resolve_outdir(cfg)
-    rows = ex.run_condlab(cfg, method=args.method)
+    outdir = resolve_outdir(cfg.outdir)
+    rows = condlab.condition_sweep(
+        cfg.fem_n, cfg.fem_m, cfg.fem_kind, cfg.kchi_list, method=args.method, seed=cfg.seed
+    )
     fileio.write_condlab_csv(outdir / "condlab.csv", rows)
     for r in rows:
         print(
@@ -210,8 +208,7 @@ def cmd_props(args) -> int:
         soft = "" if r.hard else " (informational)"
         print(f"{status}  {r.name:<{width}s}  {r.detail}{soft}")
     if args.outdir:
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = resolve_outdir(args.outdir)
         fileio.write_csv(
             outdir / "props.csv",
             ("name", "passed", "hard", "detail"),
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="lanczos",
-        choices=("lanczos", "power", "dense"),
+        choices=("lanczos", "dense"),
         help="extreme-eigenvalue engine (default lanczos)",
     )
     p.set_defaults(func=cmd_condlab)

@@ -33,7 +33,7 @@ import scipy.sparse as sparse
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .solvers import KrylovError, solve_cg
+from .solvers import solve_cg
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
 MAX_DIMENSION = 5000
@@ -316,23 +316,18 @@ def estimate_condition(
 ) -> ConditionEstimate:
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
-    The default engine is Lanczos (largest eigenvalue directly, smallest
-    as the inverse of the largest eigenvalue of `reduced_solve`, the
-    factored inverse): the mass-matrix
-    spectrum is tightly clustered at both ends, which plain power
-    iteration cannot resolve to 1e-6 in sensible time on fine meshes.
-    The power-iteration engine remains available for desk-scale
-    cross-checks of the Lanczos numbers.
+    `lanczos` (the default) takes the largest eigenvalue directly and the
+    smallest as the inverse of the largest eigenvalue of `reduced_solve`,
+    the factored inverse.  `dense` is the eigvalsh oracle of
+    `dense_condition`, for desk-scale systems only.
     """
     if ops.dim > MAX_DIMENSION:
         raise ValueError(f"dimension {ops.dim} exceeds the {MAX_DIMENSION} cap")
     if method == "lanczos":
         return _condition_lanczos(ops, tol)
-    if method == "power":
-        return _condition_power(ops, tol)
     if method == "dense":
         return dense_condition(ops)
-    raise ValueError("method must be 'lanczos', 'power', or 'dense'")
+    raise ValueError("method must be 'lanczos' or 'dense'")
 
 
 def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
@@ -348,34 +343,6 @@ def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
     inv_max = float(eigsh(inv, k=1, which="LA", tol=tol * 1e-2, ncv=ncv, v0=v0,
                           return_eigenvectors=False)[0])
     return ConditionEstimate(lam_max, 1.0 / inv_max, "lanczos")
-
-
-def _condition_power(ops: FemOperatorSet, tol: float, maxiter: int = 200_000) -> ConditionEstimate:
-    rng = np.random.default_rng(1234)
-
-    def iterate(apply_fn):
-        # the Rayleigh quotient converges like ratio^{2 it}; with the
-        # clustered mass-matrix spectrum the per-sweep change understates
-        # the remaining error by a large factor, hence the harsh settle
-        # factor relative to the requested tolerance
-        x = rng.standard_normal(ops.dim)
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for it in range(maxiter):
-            y = apply_fn(x)
-            lam_new = float(x @ y)
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                raise KrylovError("power iteration collapsed to the null vector")
-            x = y / ny
-            if it > 0 and abs(lam_new - lam) <= 1e-3 * tol * abs(lam_new):
-                return lam_new
-            lam = lam_new
-        raise KrylovError(f"power iteration did not settle within {maxiter} sweeps")
-
-    lam_max = iterate(lambda x: reduced_apply(ops, x))
-    lam_min = 1.0 / iterate(lambda x: reduced_solve(ops, x))
-    return ConditionEstimate(lam_max, lam_min, "power")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ The format is line-oriented: one assignment per line, ``#`` starts a
 comment, blank lines are ignored.  List-valued keys take comma-separated
 entries; time windows are ``start:end`` pairs.  Example::
 
-    mode   = twin
     n      = 128
     nu     = 1e-3
     k      = 0.01
@@ -30,7 +29,6 @@ from .observers import KINDS
 from .stepping import SchemeConfig, check_scheme_operator
 
 OUTDIR_ENV = "MODNUDGE_OUTDIR"
-MODES = ("manufactured", "twin")
 
 _DEFAULT_K_LIST = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _DEFAULT_KCHI_LIST = (1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -40,7 +38,6 @@ _DEFAULT_KCHI_LIST = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 class RunConfig:
     """Everything an experiment driver needs, with validated invariants."""
 
-    mode: str = "twin"
     n: int = 128
     nu: float = 1e-3
     k: float = 0.01
@@ -65,8 +62,6 @@ class RunConfig:
     kchi_list: tuple[float, ...] = _DEFAULT_KCHI_LIST
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         SchemeConfig(k=self.k, nu=self.nu, chi=self.chi, scheme=self.scheme,
                      solver_tol=self.solver_tol)
         if self.operator not in KINDS:
@@ -88,7 +83,7 @@ class RunConfig:
             ratio = round(self.k / self.k_truth)
             if ratio < 1 or abs(ratio * self.k_truth - self.k) > 1e-9 * self.k:
                 raise ValueError("the truth step k_truth must evenly divide k")
-        if any(c < 0 for c in self.chi_list):
+        if not self.chi_list or any(c < 0 for c in self.chi_list):
             raise ValueError("chi_list entries must be nonnegative")
         if not self.k_list or any(kk <= 0 for kk in self.k_list):
             raise ValueError("k_list entries must be positive")
@@ -141,7 +136,6 @@ def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
 
 
 _PARSERS = {
-    "mode": str,
     "scheme": str,
     "operator": str,
     "outdir": str,
@@ -193,8 +187,8 @@ def config_from_mapping(raw: dict[str, str], base: RunConfig | None = None) -> R
     return replace(base, **updates)
 
 
-def load_config(path) -> RunConfig:
-    return config_from_mapping(parse_kv_text(Path(path).read_text()))
+def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    return config_from_mapping(parse_kv_text(Path(path).read_text()), base=base)
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
@@ -208,18 +202,18 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     return config_from_mapping(raw, base=cfg)
 
 
-def resolve_outdir(cfg: RunConfig) -> Path:
-    """Output directory with the environment override applied; created."""
-    path = Path(os.environ.get(OUTDIR_ENV) or cfg.outdir)
+def resolve_outdir(chosen) -> Path:
+    """The chosen output directory, or the environment override; created."""
+    path = Path(os.environ.get(OUTDIR_ENV) or chosen)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def default_config(mode: str = "twin") -> RunConfig:
-    """Mode-appropriate starting point before file/CLI overrides."""
+    """Starting point before file/CLI overrides: the twin defaults, or
+    with mode "manufactured" those of the convergence study."""
     if mode == "manufactured":
         return RunConfig(
-            mode="manufactured",
             n=64,
             nu=1.0,
             k=0.25,

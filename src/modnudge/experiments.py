@@ -115,16 +115,10 @@ ANALYSIS_STEPS = {
         _forecast_then(lambda vt, obs, op, c: step2a_explicit(vt, obs, op, c.k, c.chi)), True
     ),
     "2a-implicit": AnalysisStep(
-        _forecast_then(
-            lambda vt, obs, op, c: step2a_implicit(vt, obs, op, c.k, c.chi, tol=c.analysis_tol)
-        ),
-        True,
+        _forecast_then(lambda vt, obs, op, c: step2a_implicit(vt, obs, op, c.k, c.chi)), True
     ),
     "2b": AnalysisStep(
-        _forecast_then(
-            lambda vt, obs, op, c: step2b(vt, obs, op, c.k, c.chi, c.nu, tol=c.analysis_tol)
-        ),
-        False,
+        _forecast_then(lambda vt, obs, op, c: step2b(vt, obs, op, c.k, c.chi, c.nu)), False
     ),
 }
 
@@ -442,22 +436,6 @@ def run_twin(
         epsilons=tuple(epsilons),
         windows=windows,
         variants=results,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 1D conditioning sweep
-# ---------------------------------------------------------------------------
-
-
-def run_condlab(cfg: RunConfig, method: str = "lanczos") -> list[condlab.SweepRow]:
-    return condlab.condition_sweep(
-        cfg.fem_n,
-        cfg.fem_m,
-        cfg.fem_kind,
-        cfg.kchi_list,
-        method=method,
-        seed=cfg.seed,
     )
 
 

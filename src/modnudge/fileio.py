@@ -1,17 +1,4 @@
-"""Field snapshots and the CSV tables the experiment drivers emit.
-
-Field snapshot (binary): a fixed 32-byte header
-
-    bytes 0-3    magic  b"MNDG"
-    bytes 4-7    format version, little-endian uint32 (currently 1)
-    bytes 8-11   component count (1 scalar / 2 vector), uint32
-    bytes 12-15  grid size n, uint32
-    bytes 16-23  domain length, float64
-    bytes 24-31  field time, float64
-
-followed by ncomp * n * n float64 grid values in C order.  Values are
-stored, not coefficients, and reload through the value-seeded
-constructors, so a save/load cycle is bit-exact.
+"""The CSV tables the experiment drivers emit.
 
 All CSV output uses a single header line and %.17g number formatting,
 which round-trips float64 exactly: rerunning a deterministic experiment
@@ -20,18 +7,12 @@ reproduces its CSVs byte for byte.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .condlab import SweepRow
 from .predictability import HorizonReport
-from .spectral import Field, ScalarField, SpectralVectorField, get_grid
-
-MAGIC = b"MNDG"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIII dd")
 
 LEDGER_COLUMNS = (
     "n",
@@ -51,47 +32,6 @@ HORIZON_COLUMNS = ("run", "T1", "T2", "epsilon", "lam", "doubling", "doubling_la
 CONVERGENCE_COLUMNS = ("scheme", "k", "error", "rate")
 
 CONDLAB_COLUMNS = ("n", "m", "space_kind", "k_chi", "cond", "cond_ratio", "deviation")
-
-
-def save_field(path, field: Field):
-    vals = np.ascontiguousarray(field.values, dtype=np.float64)
-    ncomp = 1 if vals.ndim == 2 else vals.shape[0]
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, ncomp, field.grid.n,
-                          field.grid.length, field.time)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(vals.tobytes(order="C"))
-
-
-def _read_header(fh) -> tuple[int, int, float, float]:
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise ValueError("truncated snapshot header")
-    magic, version, ncomp, n, length, time = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise ValueError("not a field snapshot (bad magic)")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    if ncomp not in (1, 2):
-        raise ValueError(f"unsupported component count {ncomp}")
-    return ncomp, n, length, time
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        ncomp, n, length, time = _read_header(fh)
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if data.size != ncomp * n * n:
-        raise ValueError("snapshot payload size does not match its header")
-    grid = get_grid(n, length)
-    if ncomp == 1:
-        return ScalarField.from_grid(grid, data.reshape(n, n), time)
-    return SpectralVectorField.from_grid(grid, data.reshape(ncomp, n, n), time)
-
-
-# ---------------------------------------------------------------------------
-# CSV tables
-# ---------------------------------------------------------------------------
 
 
 def _format_cell(value) -> str:

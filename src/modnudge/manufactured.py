@@ -32,8 +32,3 @@ def exact_solution(grid: TorusGrid, t: float) -> SpectralVectorField:
 def forcing(grid: TorusGrid, t: float, nu: float) -> SpectralVectorField:
     return ((1.0 + nu) * math.exp(t)) * SpectralVectorField.from_grid(grid, _shape_values(grid), t)
 
-
-def forcing_fn(grid: TorusGrid, nu: float):
-    """Time-callable forcing for the truth integrator."""
-    base = SpectralVectorField.from_grid(grid, _shape_values(grid))
-    return lambda t: ((1.0 + nu) * math.exp(t)) * base.at_time(t)

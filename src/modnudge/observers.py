@@ -52,14 +52,12 @@ IDEMPOTENT_KINDS = (SPECTRAL_PROJECTION, CELL_AVERAGE)  # the projections: I_H^2
 class ObservationOperator:
     """One observation operator bound to a grid.
 
-    `h` is the resolution length entering the convergence hypotheses;
-    `scale` is the kind's native parameter (K_c, m, or H itself).
+    `h` is the resolution length entering the convergence hypotheses.
     """
 
     kind: str
     grid: TorusGrid
     h: float
-    scale: float
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
     cells: int | None = None
     # cell average only: the factors (E_x, E_y, O_x, O_y, -q) of `_alias_fold`
@@ -108,7 +106,6 @@ def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOpera
         kind=SPECTRAL_PROJECTION,
         grid=grid,
         h=h,
-        scale=float(k_cutoff),
         multiplier=mask.astype(float),
     )
 
@@ -120,7 +117,6 @@ def make_cell_average(grid: TorusGrid, m: int) -> ObservationOperator:
         kind=CELL_AVERAGE,
         grid=grid,
         h=grid.length / m,
-        scale=float(m),
         cells=m,
         fold=_alias_fold(grid, m),
     )
@@ -163,7 +159,6 @@ def make_differential_filter(grid: TorusGrid, h: float) -> ObservationOperator:
         kind=DIFFERENTIAL_FILTER,
         grid=grid,
         h=h,
-        scale=h,
         multiplier=mult,
     )
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .spectral import SpectralVectorField, h1_seminorm, l2_norm
 
-NORM_KINDS = ("L2", "H1-semi")
-
 
 @dataclass(frozen=True)
 class ErrorSeries:
@@ -30,7 +28,6 @@ class ErrorSeries:
 
     times: np.ndarray
     norms: np.ndarray
-    norm_kind: str = "L2"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -45,8 +42,6 @@ class ErrorSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(norms < 0) or not np.all(np.isfinite(norms)):
             raise ValueError("norms must be finite and nonnegative")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"norm_kind must be one of {NORM_KINDS}")
 
     def norm_at(self, t: float) -> float:
         """Value at a recorded time (tiny tolerance for accumulated roundoff)."""

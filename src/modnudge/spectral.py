@@ -127,18 +127,10 @@ class TorusGrid:
         return _readonly(np.stack([1j * self.kx * m, 1j * self.ky * m]))
 
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True on modes to keep (Nyquist rows/columns excluded)."""
-        m = (self.kx_int != -self.n // 2)[:, None] & (self.ky_int != self.n // 2)[None, :]
-        return _readonly(m)
-
-    @cached_property
     def hermitian_weights(self) -> np.ndarray:
         """Multiplicity of each stored mode in the full spectrum."""
         w = np.full(self.n // 2 + 1, 2.0)
-        w[0] = 1.0
-        if self.n % 2 == 0:
-            w[-1] = 1.0
+        w[0] = w[-1] = 1.0
         return _readonly(np.broadcast_to(w[None, :], self.coeff_shape).copy())
 
     @property
@@ -225,9 +217,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def mean(self) -> float:
-        return float(self.coeffs[0, 0].real)
-
 
 @dataclass(frozen=True)
 class SpectralVectorField:
@@ -265,14 +254,6 @@ class SpectralVectorField:
     @cached_property
     def values(self) -> np.ndarray:
         return _readonly(self.grid.to_values(self.coeffs))
-
-    @property
-    def u1(self) -> ScalarField:
-        return ScalarField(self.grid, _readonly(self.coeffs[0]), self.time)
-
-    @property
-    def u2(self) -> ScalarField:
-        return ScalarField(self.grid, _readonly(self.coeffs[1]), self.time)
 
     def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         return SpectralVectorField(self.grid, _readonly(self.coeffs + other.coeffs), self.time)
@@ -329,13 +310,6 @@ def gradient(f: ScalarField) -> SpectralVectorField:
 def divergence(v: SpectralVectorField) -> ScalarField:
     g = v.grid
     c = 1j * g.kx * v.coeffs[0] + 1j * g.ky * v.coeffs[1]
-    return ScalarField(g, _readonly(c), v.time)
-
-
-def curl(v: SpectralVectorField) -> ScalarField:
-    """Scalar vorticity d(u2)/dx - d(u1)/dy."""
-    g = v.grid
-    c = 1j * g.kx * v.coeffs[1] - 1j * g.ky * v.coeffs[0]
     return ScalarField(g, _readonly(c), v.time)
 
 
@@ -596,26 +570,3 @@ def bump_localized_field(
         comp -= (comp.mean() / env.mean()) * env
     return SpectralVectorField.from_grid(grid, vals, time)
 
-
-def mode_coefficient(f: ScalarField, kx: int, ky: int) -> complex:
-    """Full-spectrum coefficient at integer mode (kx, ky), for tests."""
-    n = f.grid.n
-    if ky >= 0:
-        return complex(f.coeffs[kx % n, ky])
-    return complex(np.conj(f.coeffs[(-kx) % n, -ky]))
-
-
-def single_mode_scalar(grid: TorusGrid, kx: int, ky: int, amplitude: complex = 1.0) -> ScalarField:
-    """Real scalar field amplitude * exp(i k.x) + c.c. (2 Re[a e^{ik.x}])."""
-    if kx == 0 and ky == 0:
-        raise ValueError("use a constant field, not the zero mode")
-    c = np.zeros(grid.coeff_shape, dtype=complex)
-    if ky < 0:
-        kx, ky, amplitude = -kx, -ky, np.conj(amplitude)
-    if ky == 0:
-        # both members of the conjugate pair live in the stored half
-        c[kx % grid.n, 0] = amplitude
-        c[(-kx) % grid.n, 0] = np.conj(amplitude)
-    else:
-        c[kx % grid.n, ky] = amplitude
-    return ScalarField.from_coeffs(grid, c)

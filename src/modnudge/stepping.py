@@ -57,8 +57,7 @@ class SchemeConfig:
 
     scheme selects the analysis treatment; `none` runs the plain
     forecast.  solver_tol is the Krylov relative tolerance of the
-    momentum solve, analysis_tol the (much cheaper) analysis-solve
-    tolerance.
+    momentum solve.
     """
 
     k: float
@@ -66,8 +65,6 @@ class SchemeConfig:
     chi: float = 0.0
     scheme: str = "none"
     solver_tol: float = DEFAULT_SOLVER_TOL
-    solver_maxit: int = DEFAULT_SOLVER_MAXIT
-    analysis_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.k > 0:
@@ -78,12 +75,8 @@ class SchemeConfig:
             raise ValueError("nudging strength chi must be nonnegative")
         if not 0 < self.solver_tol <= 1e-4:
             raise ValueError("solver_tol must lie in (0, 1e-4]")
-        if not 0 < self.analysis_tol <= 1e-4:
-            raise ValueError("analysis_tol must lie in (0, 1e-4]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.solver_maxit < 1:
-            raise ValueError("solver_maxit must be at least 1")
 
 
 def check_scheme_operator(scheme: str, operator_kind: str):
@@ -156,12 +149,13 @@ def _momentum_solve(
     k: float,
     nu: float,
     tol: float,
-    maxiter: int,
     nudge: tuple[ObservationOperator, float] | None = None,
 ) -> tuple[np.ndarray, SolveInfo]:
     """GMRES on the Step-1 operator of `_momentum_operator`."""
     apply_op, precondition = _momentum_operator(grid, advecting, k, nu, nudge)
-    return solve_gmres(apply_op, rhs, x0=x0, tol=tol, maxiter=maxiter, precondition=precondition)
+    return solve_gmres(
+        apply_op, rhs, x0=x0, tol=tol, maxiter=DEFAULT_SOLVER_MAXIT, precondition=precondition
+    )
 
 
 def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepResult:
@@ -178,7 +172,6 @@ def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepRe
         cfg.k,
         cfg.nu,
         cfg.solver_tol,
-        cfg.solver_maxit,
     )
     vtilde = SpectralVectorField(grid, _readonly(c), state.time + cfg.k)
     return StepResult(vtilde, info.iterations, info.residual)
@@ -213,7 +206,6 @@ def step_standard_nudging(
         cfg.k,
         cfg.nu,
         cfg.solver_tol,
-        cfg.solver_maxit,
         nudge=(op, cfg.chi),
     )
     v = SpectralVectorField(grid, _readonly(c), state.time + cfg.k)
@@ -241,7 +233,6 @@ class TruthIntegrator:
         k: float,
         nu: float,
         solver_tol: float = DEFAULT_SOLVER_TOL,
-        solver_maxit: int = DEFAULT_SOLVER_MAXIT,
     ):
         if not k > 0:
             raise ValueError("time step k must be positive")
@@ -252,7 +243,6 @@ class TruthIntegrator:
         self.k = k
         self.nu = nu
         self.solver_tol = solver_tol
-        self.solver_maxit = solver_maxit
         self.time = u0.time
         self.current = u0
         self.previous: SpectralVectorField | None = None
@@ -274,7 +264,6 @@ class TruthIntegrator:
                 k,
                 nu,
                 self.solver_tol,
-                self.solver_maxit,
             )
         else:
             # (3u+ - 4u + u-)/(2k): same solve with k -> 2k/3 and a
@@ -282,9 +271,7 @@ class TruthIntegrator:
             adv = 2.0 * self.current - self.previous
             rhs = pf + (4.0 * self.current.coeffs - self.previous.coeffs) / (2.0 * k)
             x0 = adv.coeffs.copy()  # extrapolation doubles as warm start
-            c, info = _momentum_solve(
-                grid, adv, rhs, x0, 2.0 * k / 3.0, nu, self.solver_tol, self.solver_maxit
-            )
+            c, info = _momentum_solve(grid, adv, rhs, x0, 2.0 * k / 3.0, nu, self.solver_tol)
         self.previous = self.current
         self.current = SpectralVectorField(grid, _readonly(c), t_next)
         self.time = t_next

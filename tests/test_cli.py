@@ -37,7 +37,7 @@ class TestConverge:
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
-            "mode = manufactured\nn = 32\nnu = 1\nk = 0.2\nT = 0.4\nchi = 100\n"
+            "n = 32\nnu = 1\nk = 0.2\nT = 0.4\nchi = 100\n"
             "operator_scale = 4\nk_list = 0.2,0.1\n"
         )
         rc = main([
@@ -47,6 +47,17 @@ class TestConverge:
         assert rc == 0
         lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("none,0.2")
+
+    def test_config_file_starts_from_the_converge_defaults(self, tmp_path):
+        keys = ["n=32", "k_list=0.5,0.25"]
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("\n".join(k.replace("=", " = ") for k in keys))
+        common = ["converge", "--schemes", "2a-explicit"]
+        assert main([*common, "--config", str(cfg), "--outdir", str(tmp_path / "f")]) == 0
+        sets = [arg for key in keys for arg in ("--set", key)]
+        assert main([*common, "--outdir", str(tmp_path / "s"), *sets]) == 0
+        assert (tmp_path / "f" / "convergence.csv").read_bytes() == \
+            (tmp_path / "s" / "convergence.csv").read_bytes()
 
 
 class TestTwin:
@@ -147,7 +158,7 @@ class TestCondlab:
     def test_config_file_mode_does_not_change_the_sweep(self, tmp_path):
         keys = ["fem_n=64", "fem_m=8", "kchi_list=1,100"]
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("mode = manufactured\n" + "\n".join(k.replace("=", " = ") for k in keys))
+        cfg.write_text("\n".join(k.replace("=", " = ") for k in keys))
         assert main(["condlab", "--config", str(cfg), "--outdir", str(tmp_path / "f")]) == 0
         sets = [arg for key in keys for arg in ("--set", key)]
         assert main(["condlab", "--outdir", str(tmp_path / "s"), *sets]) == 0
@@ -166,6 +177,12 @@ class TestProps:
         assert main(["props", "--count", "12"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "equivalence" in out
+
+    def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MODNUDGE_OUTDIR", str(tmp_path / "env"))
+        assert main(["props", "--count", "10", "--outdir", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "env" / "props.csv").exists()
+        assert not (tmp_path / "flag").exists()
 
 
 class TestErrors:
@@ -186,6 +203,13 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "window 0.008:0.012" in err and "k=0.01" in err
+        assert not (tmp_path / "twin_errors.csv").exists()
+
+    def test_empty_chi_list_returns_2(self, tmp_path, capsys):
+        rc = main(["twin", "--no-alternates", "--outdir", str(tmp_path), "--set", "n=16",
+                   "--set", "operator_scale=4", "--set", "T=0.1", "--set", "chi_list="])
+        assert rc == 2
+        assert "chi_list" in capsys.readouterr().err
         assert not (tmp_path / "twin_errors.csv").exists()
 
     def test_module_entry_point(self):

@@ -64,9 +64,9 @@ class TestParser:
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("mode = twin\nn = 32\nk = 0.02\nT = 0.4\nseed = 7\n")
+        path.write_text("n = 32\nk = 0.02\nT = 0.4\nseed = 7\n")
         cfg = load_config(path)
-        assert (cfg.mode, cfg.n, cfg.k, cfg.T, cfg.seed) == ("twin", 32, 0.02, 0.4, 7)
+        assert (cfg.n, cfg.k, cfg.T, cfg.seed) == (32, 0.02, 0.4, 7)
 
     def test_apply_overrides(self):
         cfg = apply_overrides(RunConfig(), ["chi=5", "seed=3"])
@@ -99,6 +99,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="even"):
             RunConfig(n=63)
 
+    def test_empty_chi_list_rejected(self):
+        with pytest.raises(ValueError, match="chi_list"):
+            RunConfig(chi_list=())
+        with pytest.raises(ValueError, match="chi_list"):
+            apply_overrides(RunConfig(), ["chi_list="])
+
     def test_window_outside_horizon(self):
         with pytest.raises(ValueError, match="inside"):
             RunConfig(T=25.0, windows=((10.0, 30.0),))
@@ -123,7 +129,6 @@ class TestValidation:
 class TestDefaultsAndEnv:
     def test_manufactured_defaults(self):
         cfg = default_config("manufactured")
-        assert cfg.mode == "manufactured"
         assert (cfg.n, cfg.nu, cfg.T, cfg.chi) == (64, 1.0, 2.0, 1e3)
         assert cfg.operator_scale == 8.0
 
@@ -132,11 +137,11 @@ class TestDefaultsAndEnv:
         assert (cfg.n, cfg.nu, cfg.k, cfg.T, cfg.chi) == (128, 1e-3, 0.01, 25.0, 1e4)
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
-        cfg = dataclasses.replace(RunConfig(), outdir=str(tmp_path / "from_cfg"))
+        chosen = str(tmp_path / "chosen")
         monkeypatch.delenv(OUTDIR_ENV, raising=False)
-        assert resolve_outdir(cfg) == tmp_path / "from_cfg"
+        assert resolve_outdir(chosen) == tmp_path / "chosen"
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "from_env"))
-        out = resolve_outdir(cfg)
+        out = resolve_outdir(chosen)
         assert out == tmp_path / "from_env"
         assert out.is_dir()
 

@@ -16,7 +16,6 @@ from modnudge.stepping import ForecastState, SchemeConfig, step1_forecast
 
 def small_twin_config(**overrides):
     base = dict(
-        mode="twin",
         n=32,
         nu=1e-2,
         k=0.02,
@@ -82,7 +81,7 @@ class TestManufacturedConvergence:
             ex.manufactured_error("none", n=16, k=0.3, T=1.0, nu=1.0, chi=0.0)
 
     def test_run_converge_rates_and_structure(self):
-        cfg = RunConfig(mode="manufactured", n=32, nu=1.0, k=0.1, T=0.5, chi=100.0,
+        cfg = RunConfig(n=32, nu=1.0, k=0.1, T=0.5, chi=100.0,
                         operator_scale=4.0, k_list=(0.1, 0.05, 0.025))
         tables = ex.run_converge(cfg, schemes=("2a-explicit", "standard"))
         assert set(tables) == {"2a-explicit", "standard"}
@@ -94,7 +93,7 @@ class TestManufacturedConvergence:
             assert table.notes == ()
 
     def test_rates_skip_non_halving_neighbors(self):
-        cfg = RunConfig(mode="manufactured", n=16, nu=1.0, k=0.1, T=0.4, chi=10.0,
+        cfg = RunConfig(n=16, nu=1.0, k=0.1, T=0.4, chi=10.0,
                         operator_scale=3.0, k_list=(0.1, 0.04))
         table = ex.run_converge(cfg, schemes=("none",))["none"]
         assert all(math.isnan(r[2]) for r in table.rows)
@@ -225,7 +224,7 @@ class TestSolverFailuresAreLocated:
 
     def test_converge_notes_name_scheme_step_and_time(self, monkeypatch):
         _cap_gmres(monkeypatch, 2)
-        cfg = RunConfig(mode="manufactured", n=16, nu=1.0, k=0.1, T=0.2, chi=10.0,
+        cfg = RunConfig(n=16, nu=1.0, k=0.1, T=0.2, chi=10.0,
                         operator_scale=3.0, k_list=(0.1,))
         table = ex.run_converge(cfg, schemes=("standard",))["standard"]
         assert math.isnan(table.rows[0][1])

@@ -4,49 +4,6 @@ import pytest
 from modnudge import fileio
 from modnudge.condlab import SweepRow
 from modnudge.predictability import HorizonReport
-from modnudge.spectral import ScalarField, get_grid, random_divfree_field
-
-
-@pytest.fixture
-def grid():
-    return get_grid(32)
-
-
-class TestFieldSnapshots:
-    def test_binary_round_trip_is_bit_exact(self, grid, tmp_path):
-        field = random_divfree_field(grid, np.random.default_rng(7), normalize=1.3)
-        path = tmp_path / "u.field"
-        fileio.save_field(path, field)
-        back = fileio.load_field(path)
-        assert back.grid is field.grid
-        assert back.time == field.time
-        assert np.array_equal(back.values, field.values)
-        # the stored payload is values; coefficients agree to roundoff
-        assert np.allclose(back.coeffs, field.coeffs, atol=1e-14)
-
-    def test_scalar_round_trip(self, grid, tmp_path):
-        rng = np.random.default_rng(3)
-        field = ScalarField.from_grid(grid, rng.standard_normal((32, 32)), time=0.5)
-        path = tmp_path / "s.field"
-        fileio.save_field(path, field)
-        back = fileio.load_field(path)
-        assert isinstance(back, ScalarField)
-        assert np.array_equal(back.values, field.values)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b"not a snapshot at all, nowhere near")
-        with pytest.raises(ValueError, match="magic"):
-            fileio.load_field(path)
-
-    def test_rejects_truncated_payload(self, grid, tmp_path):
-        field = random_divfree_field(grid, np.random.default_rng(1))
-        path = tmp_path / "u.field"
-        fileio.save_field(path, field)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(ValueError, match="payload"):
-            fileio.load_field(path)
 
 
 class TestCsvTables:

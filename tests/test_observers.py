@@ -9,6 +9,8 @@ from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
 
+from spectral_helpers import mode_coefficient, single_mode_scalar
+
 
 @pytest.fixture
 def grid():
@@ -47,8 +49,8 @@ class TestSpectralProjection:
 
     def test_zeroes_high_modes_only(self, grid):
         op = obs.make_spectral_projection(grid, 4)
-        low = sp.single_mode_scalar(grid, 3, 2)
-        high = sp.single_mode_scalar(grid, 9, 0)
+        low = single_mode_scalar(grid, 3, 2)
+        high = single_mode_scalar(grid, 9, 0)
         assert sp.l2_norm(op.apply(low) - low) < 1e-14
         assert sp.l2_norm(op.apply(high)) < 1e-14
 
@@ -158,10 +160,10 @@ class TestDifferentialFilter:
     def test_single_mode_multiplier(self, grid):
         h = 0.37
         op = obs.make_differential_filter(grid, h)
-        w = sp.single_mode_scalar(grid, 2, 3)
+        w = single_mode_scalar(grid, 2, 3)
         expected = 1.0 / (1.0 + h**2 * 13.0)
         out = op.apply(w)
-        assert sp.mode_coefficient(out, 2, 3) == pytest.approx(expected, rel=1e-14)
+        assert mode_coefficient(out.coeffs, 2, 3) == pytest.approx(expected, rel=1e-14)
 
     def test_solves_helmholtz_problem(self, grid):
         # -H^2 lap(w_bar) + w_bar = w, checked as an operator identity
@@ -175,7 +177,7 @@ class TestDifferentialFilter:
     def test_not_idempotent_single_mode_defect(self, grid):
         h = 0.5
         op = obs.make_differential_filter(grid, h)
-        w = sp.single_mode_scalar(grid, 2, 0)
+        w = single_mode_scalar(grid, 2, 0)
         a = 1.0 / (1.0 + h**2 * 4.0)
         assert not op.idempotent
         assert obs.idempotency_defect(op, w) == pytest.approx(a - a**2, rel=1e-12)
@@ -194,13 +196,13 @@ class TestDifferentialFilter:
         grid = sp.get_grid(32)
         k = 4
         op = obs.make_differential_filter(grid, 1.0 / k)
-        w = sp.single_mode_scalar(grid, k, 0)
+        w = single_mode_scalar(grid, k, 0)
         lhs = sp.l2_norm(w - op.apply(w))
         assert lhs == pytest.approx(0.5 * op.h * sp.h1_seminorm(w), rel=1e-12)
 
     def test_near_nullspace_attenuation(self, grid):
         op = obs.make_differential_filter(grid, 2.0)
-        w = sp.single_mode_scalar(grid, 5, 0)
+        w = single_mode_scalar(grid, 5, 0)
         ratio = sp.l2_norm(op.apply(w)) / sp.l2_norm(w)
         assert ratio == pytest.approx(1.0 / (1.0 + 4.0 * 25.0), rel=1e-12)
 
@@ -251,7 +253,7 @@ class TestC1Estimates:
         # just-unobserved mode: ratio = 1 / (H |k|) with |k| = K_c + 1
         kc = 4
         op = obs.make_spectral_projection(grid, kc)
-        w = sp.single_mode_scalar(grid, kc + 1, 0)
+        w = single_mode_scalar(grid, kc + 1, 0)
         ratio = sp.l2_norm(w - op.apply(w)) / (op.h * sp.h1_seminorm(w))
         assert ratio == pytest.approx(1.0 / (op.h * (kc + 1)), rel=1e-12)
         assert ratio < 1.0 / math.pi

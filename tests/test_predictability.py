@@ -10,9 +10,11 @@ from modnudge import observers as obs
 from modnudge import predictability as pred
 from modnudge import spectral as sp
 
+from spectral_helpers import single_mode_scalar
 
-def series(times, norms, kind="L2"):
-    return pred.ErrorSeries(np.asarray(times, float), np.asarray(norms, float), kind)
+
+def series(times, norms):
+    return pred.ErrorSeries(np.asarray(times, float), np.asarray(norms, float))
 
 
 class TestFtle:
@@ -100,9 +102,6 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             series([0.0, 1.0], [1.0, -1.0])
 
-    def test_rejects_unknown_norm_kind(self):
-        with pytest.raises(ValueError, match="norm_kind"):
-            series([0.0, 1.0], [1.0, 1.0], kind="L7")
 
 
 class TestAnalysisStepBridge:
@@ -125,7 +124,7 @@ class TestAnalysisStepBridge:
 class TestMicroscale:
     def test_single_mode_scale_is_inverse_wavenumber(self):
         grid = sp.get_grid(64)
-        c = sp.single_mode_scalar(grid, 3, 4, 1.0)
+        c = single_mode_scalar(grid, 3, 4, 1.0)
         w = sp.SpectralVectorField.from_coeffs(grid, np.stack([c.coeffs, 0 * c.coeffs]))
         assert pred.taylor_microscale(w) == pytest.approx(1.0 / 5.0, rel=1e-12)
 

@@ -11,6 +11,8 @@ from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
 
+from spectral_helpers import manufactured_forcing_fn
+
 
 def make_state(grid, v, k=0.1, nu=1.0, chi=0.0, scheme="none", **kw):
     cfg = st.SchemeConfig(k=k, nu=nu, chi=chi, scheme=scheme, **kw)
@@ -165,7 +167,7 @@ class TestTruth:
         grid = sp.get_grid(16)
         rng = np.random.default_rng(7)
         v = sp.random_divfree_field(grid, rng)
-        ffn = mfg.forcing_fn(grid, 1.0)
+        ffn = manufactured_forcing_fn(grid, 1.0)
         stepper = st.TruthIntegrator(v, ffn, 0.1, 1.0)
         first = stepper.step()
         ref = st.step1_forecast(make_state(grid, v, k=0.1, nu=1.0), ffn(0.1))
@@ -177,7 +179,7 @@ class TestTruth:
         errs = []
         for k in (0.1, 0.05, 0.025):
             u0 = mfg.exact_solution(grid, 0.0)
-            fields = truth_fields(u0, mfg.forcing_fn(grid, nu), k, T, nu=nu)
+            fields = truth_fields(u0, manufactured_forcing_fn(grid, nu), k, T, nu=nu)
             errs.append(sp.l2_norm(fields[-1] - mfg.exact_solution(grid, T)))
         rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         for r in rates:
