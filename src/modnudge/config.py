@@ -163,12 +163,18 @@ def parse_kv_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw_line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ValueError(f"config line {lineno}: empty key or value")
+        key, value = _split_pair(line, f"config line {lineno}")
         out[key] = value
     return out
+
+
+def _split_pair(text: str, where: str) -> tuple[str, str]:
+    """'key = value' -> (key, value); neither part may be empty."""
+    key, _, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if not key or not value:
+        raise ValueError(f"{where}: empty key or value")
+    return key, value
 
 
 def config_from_mapping(raw: dict[str, str], base: RunConfig | None = None) -> RunConfig:
@@ -197,8 +203,8 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} must look like key=value")
-        key, _, value = pair.partition("=")
-        raw[key.strip()] = value.strip()
+        key, value = _split_pair(pair, f"override {pair!r}")
+        raw[key] = value
     return config_from_mapping(raw, base=cfg)
 
 

@@ -101,7 +101,9 @@ def _forecast_then(update) -> Callable[..., AdvanceRecord]:
 
 
 class AnalysisStep(NamedTuple):
-    step: Callable[..., AdvanceRecord]  # (state, forcing, u_obs, op), state left as it was
+    # (state, forcing, u_obs, op); leaves velocity and clock as they were,
+    # and a forecast records its increment in state.history
+    step: Callable[..., AdvanceRecord]
     plain: bool  # solves (v - vtilde)/k = chi I_H(u - v); run_twin ledgers its identities
 
 
@@ -132,7 +134,10 @@ def advance(
     """Advance `state` one step in place and report the intermediate field.
 
     `u_obs` is the already-observed truth I_H u(t + k); it may be None
-    only for the plain forecast.
+    only for the plain forecast.  The state leaves with the new velocity
+    and clock and, for every scheme that runs a forecast, with that
+    forecast's increment in its history (which starts the next forecast);
+    the fused `standard` step leaves the history as it was.
     """
     scheme = "none" if state.config.chi == 0.0 else state.config.scheme
     rec = ANALYSIS_STEPS[scheme].step(state, forcing_field, u_obs, op)

@@ -59,7 +59,6 @@ class ObservationOperator:
     grid: TorusGrid
     h: float
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
-    cells: int | None = None
     # cell average only: the factors (E_x, E_y, O_x, O_y, -q) of `_alias_fold`
     fold: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
@@ -117,7 +116,6 @@ def make_cell_average(grid: TorusGrid, m: int) -> ObservationOperator:
         kind=CELL_AVERAGE,
         grid=grid,
         h=grid.length / m,
-        cells=m,
         fold=_alias_fold(grid, m),
     )
 

@@ -16,6 +16,23 @@ updates from `assimilate`.
 BDF2 formula (backward-Euler startup, advecting field extrapolated to
 the new time level), which is second-order and keeps every step linear.
 
+Krylov starts.  Solutions of successive steps are close, so a solve
+that starts from a polynomial extrapolation of earlier solutions needs
+fewer operator applications (Fischer 1998).  The truth starts from the
+quadratic extrapolation 3u^n - 3u^{n-1} + u^{n-2}.  The forecast is a
+plain step without nudging, as smooth in time as the flow, so its
+increments vt - v extrapolate well: it starts from v^n + 2 d^n - d^{n-1},
+where d = vt - v are the state's last two increments (`ForecastHistory`).
+The guesses only set where GMRES starts; every solve is still judged on
+its true residual, so results move within the solver tolerance.  The
+fused nudging solve keeps the cold start v^n.  It is stiff in chi, and
+its right side carries chi I_H u, so the tolerance 1e-10 ||b|| leaves
+room for answers far apart: with the cell average at n=64 and chi=1e4, a
+warm start cut its applications from 51 to 37 but moved the twin's
+relative error by up to 7.8e-9, above the 10 solver_tol to which the
+benchmark holds twin runs to their recorded reference.  At n=128 with the
+spectral projection it saved nothing (4.06 -> 4.0 applications).
+
 `StabilityLedger` accumulates the discrete energy budget
     ||v^N||^2 + sum_n [ ||increments||^2 + k nu ||grad vt||^2
                         + k chi ||I_H v||^2 ]
@@ -89,13 +106,50 @@ def check_scheme_operator(scheme: str, operator_kind: str):
         )
 
 
+class ForecastHistory:
+    """The last two forecast increments d = vt - v of one state.
+
+    Both buffers are allocated once, at the state's first forecast.  They
+    are stored in single precision: they only place the initial GMRES
+    iterate, and the solve is judged on its true residual.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self._newer = np.zeros(shape, dtype=np.complex64)
+        self._older = np.zeros(shape, dtype=np.complex64)
+        self.count = 0  # increments recorded so far, at most 2
+
+    def guess(self, v: np.ndarray) -> np.ndarray:
+        """The initial iterate v + 2 d^n - d^{n-1}; v + d^n after one
+        forecast, v before any."""
+        x0 = v.copy()
+        if self.count == 1:
+            x0 += self._newer
+        elif self.count == 2:
+            x0 += 2.0 * self._newer
+            x0 -= self._older
+        return x0
+
+    def record(self, vtilde: np.ndarray, v: np.ndarray):
+        """Make vtilde - v the newest increment, dropping the oldest."""
+        self._newer, self._older = self._older, self._newer
+        np.subtract(vtilde, v, out=self._newer, casting="same_kind")
+        self.count = min(self.count + 1, 2)
+
+
 @dataclass
 class ForecastState:
-    """One time level of a run: the divergence-free velocity and its clock."""
+    """One time level of a run: the divergence-free velocity and its clock.
+
+    `history` holds the forecast increments that start the next forecast's
+    solve; `step1_forecast` creates and updates it, so a state that never
+    runs a forecast (the fused nudging step) holds none.
+    """
 
     time: float
     velocity: SpectralVectorField
     config: SchemeConfig
+    history: ForecastHistory | None = None
 
 
 @dataclass
@@ -159,20 +213,23 @@ def _momentum_solve(
 
 
 def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepResult:
-    """One backward-Euler forecast step; forcing is evaluated at t + k."""
+    """One backward-Euler forecast step; forcing is evaluated at t + k.
+
+    The solve starts from the state's extrapolated increments, and the new
+    increment goes into `state.history`; velocity and clock are left to the
+    caller.
+    """
     cfg = state.config
     grid = state.velocity.grid
     _require_zero_mean(forcing, "forcing")
-    rhs = _leray_coeffs(grid, forcing.coeffs) + state.velocity.coeffs / cfg.k
+    v = state.velocity.coeffs
+    if state.history is None:
+        state.history = ForecastHistory(v.shape)
+    rhs = _leray_coeffs(grid, forcing.coeffs) + v / cfg.k
     c, info = _momentum_solve(
-        grid,
-        state.velocity,
-        rhs,
-        state.velocity.coeffs.copy(),
-        cfg.k,
-        cfg.nu,
-        cfg.solver_tol,
+        grid, state.velocity, rhs, state.history.guess(v), cfg.k, cfg.nu, cfg.solver_tol
     )
+    state.history.record(c, v)
     vtilde = SpectralVectorField(grid, _readonly(c), state.time + cfg.k)
     return StepResult(vtilde, info.iterations, info.residual)
 
@@ -187,6 +244,8 @@ def step_standard_nudging(
 
     `observation` is the already-observed truth I_H u(t + k); the
     operator is applied once per Krylov iteration to the unknown only.
+    The solve starts from v^n whatever history the state carries (see the
+    module docstring for why it has no extrapolated start).
     """
     cfg = state.config
     if cfg.chi == 0.0:
@@ -223,7 +282,10 @@ class TruthIntegrator:
     The advecting velocity is the second-order extrapolation
     2 u^n - u^{n-1}, so the implicit system stays linear while the
     overall scheme remains second order.  The first step is backward
-    Euler from u0.
+    Euler from u0.  GMRES starts from u^n on the first step, from
+    2 u^n - u^{n-1} on the second, and from the quadratic extrapolation
+    3 u^n - 3 u^{n-1} + u^{n-2} after that, so the integrator keeps three
+    levels.
     """
 
     def __init__(
@@ -246,6 +308,7 @@ class TruthIntegrator:
         self.time = u0.time
         self.current = u0
         self.previous: SpectralVectorField | None = None
+        self._older: np.ndarray | None = None  # coefficients of u^{n-2}
         self.last_iterations = 0
 
     def step(self) -> SpectralVectorField:
@@ -270,8 +333,12 @@ class TruthIntegrator:
             # history-weighted right side
             adv = 2.0 * self.current - self.previous
             rhs = pf + (4.0 * self.current.coeffs - self.previous.coeffs) / (2.0 * k)
-            x0 = adv.coeffs.copy()  # extrapolation doubles as warm start
+            if self._older is None:
+                x0 = adv.coeffs.copy()
+            else:
+                x0 = 3.0 * (self.current.coeffs - self.previous.coeffs) + self._older
             c, info = _momentum_solve(grid, adv, rhs, x0, 2.0 * k / 3.0, nu, self.solver_tol)
+            self._older = self.previous.coeffs
         self.previous = self.current
         self.current = SpectralVectorField(grid, _readonly(c), t_next)
         self.time = t_next

@@ -212,6 +212,15 @@ class TestErrors:
         assert "chi_list" in capsys.readouterr().err
         assert not (tmp_path / "twin_errors.csv").exists()
 
+    def test_empty_override_value_returns_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MODNUDGE_OUTDIR", raising=False)
+        rc = main(["condlab", "--set", "outdir=", "--set", "fem_n=16", "--set", "fem_m=4",
+                   "--set", "kchi_list=1"])
+        assert rc == 2
+        assert "empty key or value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_module_entry_point(self):
         # the child imports the same package as this process, installed or not
         src = str(Path(modnudge.__file__).parents[1])

@@ -74,6 +74,12 @@ class TestParser:
         with pytest.raises(ValueError, match="key=value"):
             apply_overrides(cfg, ["chi"])
 
+    def test_override_rejects_empty_value_like_a_config_file(self):
+        # a string key would otherwise take "" and a list key the empty list
+        for pair in ("outdir=", "kchi_list= ", "=3"):
+            with pytest.raises(ValueError, match="empty key or value"):
+                apply_overrides(RunConfig(), [pair])
+
 
 class TestValidation:
     def test_explicit_scheme_rejects_differential_filter(self):

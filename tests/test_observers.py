@@ -19,7 +19,7 @@ def grid():
 
 def cell_average_oracle(op, c):
     """The cell average through the transforms: block means of the grid values."""
-    grid, m = op.grid, op.cells
+    grid, m = op.grid, op.fold[0].shape[0]  # E_x is m x n
     b = grid.n // m
     vals = grid.to_values(c)
     blocks = vals.reshape(vals.shape[:-2] + (m, b, m, b))
@@ -243,7 +243,7 @@ class TestSharedContracts:
 
     def test_factory_round_trip(self, grid):
         op = obs.make_operator(grid, "cell-average", 8)
-        assert op.kind == obs.CELL_AVERAGE and op.cells == 8
+        assert op.kind == obs.CELL_AVERAGE and op.fold[0].shape == (8, grid.n)
         with pytest.raises(ValueError):
             obs.make_operator(grid, "nearest-neighbor", 4)
 

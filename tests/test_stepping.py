@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from modnudge import assimilate as da
+from modnudge import experiments as ex
 from modnudge import manufactured as mfg
 from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
+from modnudge.config import RunConfig
 
 from spectral_helpers import manufactured_forcing_fn
 
@@ -210,6 +212,68 @@ class TestTruth:
         norms = [sp.l2_norm(f) for f in fields]
         for a, b in zip(norms, norms[1:]):
             assert b <= a * (1.0 + 1e-12)
+
+
+class TestKrylovStarts:
+    @staticmethod
+    def advanced_state(grid, steps=3, chi=0.0, scheme="none"):
+        """A state that has run `steps` forecasts, so it carries history."""
+        rng = np.random.default_rng(11)
+        v = sp.random_divfree_field(grid, rng, kmax=6)
+        f = sp.random_divfree_field(grid, rng, kmax=3, normalize=0.5)
+        state = make_state(grid, v, k=0.02, nu=0.02, chi=chi, scheme=scheme)
+        for _ in range(steps):
+            res = st.step1_forecast(state, f)
+            state.time, state.velocity = res.v.time, res.v
+        return state, f
+
+    def test_applications_per_truth_substep_and_forecast(self, monkeypatch):
+        truth, forecast = [], []
+        step = st.TruthIntegrator.step
+
+        def counted_step(self):
+            out = step(self)
+            truth.append(self.last_iterations)
+            return out
+
+        def counted_forecast(state, forcing, _forecast=ex.step1_forecast):
+            res = _forecast(state, forcing)
+            forecast.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(st.TruthIntegrator, "step", counted_step)
+        monkeypatch.setattr(ex, "step1_forecast", counted_forecast)
+        cfg = RunConfig(n=32, T=0.1, operator_scale=4)
+        ex.run_twin(cfg, ex.twin_variants(cfg, include_alternates=True))
+        # cold starts (v^n, and 2u^n - u^{n-1} for the truth) take 4.0 and 6.0
+        assert len(truth) == 40 and np.mean(truth) <= 3.2
+        assert len(forecast) == 40 and np.mean(forecast) <= 4.5
+
+    def test_fused_solve_ignores_forecast_history(self):
+        grid = sp.get_grid(32)
+        op = obs.make_spectral_projection(grid, 4)
+        state, f = self.advanced_state(grid, chi=1e4, scheme="standard")
+        assert state.history.count == 2
+        cold = st.ForecastState(state.time, state.velocity, state.config)
+        u_obs = op.apply(sp.random_divfree_field(grid, np.random.default_rng(12)))
+        warm_res = st.step_standard_nudging(state, f, u_obs, op)
+        cold_res = st.step_standard_nudging(cold, f, u_obs, op)
+        assert np.array_equal(warm_res.v.coeffs, cold_res.v.coeffs)
+        assert cold.history is None
+
+    def test_warm_and_cold_forecasts_agree(self):
+        grid = sp.get_grid(32)
+        state, f = self.advanced_state(grid)
+        tol = state.config.solver_tol
+        cold = st.ForecastState(state.time, state.velocity, state.config)
+        v = state.velocity
+        warm_res = st.step1_forecast(state, f)
+        cold_res = st.step1_forecast(cold, f)
+        assert warm_res.iterations < cold_res.iterations
+        for res in (warm_res, cold_res):
+            assert st.verify_momentum_residual(v, res.v, f, 0.02, 0.02) <= tol
+        gap = sp.l2_norm(warm_res.v - cold_res.v) / sp.l2_norm(cold_res.v)
+        assert gap <= 10 * tol
 
 
 class TestStabilityLedger:
