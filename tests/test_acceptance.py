@@ -4,7 +4,8 @@ Ten numbered tests, each printing one `[PASS]`/`[FAIL]` line with the
 measured margins (visible with ``pytest -s``; pytest's own verbose output
 gives the per-criterion verdict either way).  Two expensive fixtures are
 shared module-wide: the manufactured convergence sweep and the long twin
-run.  The whole file takes roughly three minutes, dominated by the twin.
+run.  The whole file takes just under three minutes on a 2-vCPU machine,
+dominated by the twin.
 """
 
 import re

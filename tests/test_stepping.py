@@ -1,4 +1,4 @@
-"""Stepper checks: manufactured-solution accuracy, energy behavior, BDF2."""
+"""Stepper checks: manufactured-solution accuracy, energy behavior, BDF2, Krylov starts."""
 
 import math
 
