@@ -27,11 +27,12 @@ The guesses only set where GMRES starts; every solve is still judged on
 its true residual, so results move within the solver tolerance.  The
 fused nudging solve keeps the cold start v^n.  It is stiff in chi, and
 its right side carries chi I_H u, so the tolerance 1e-10 ||b|| leaves
-room for answers far apart: with the cell average at n=64 and chi=1e4, a
-warm start cut its applications from 51 to 37 but moved the twin's
-relative error by up to 7.8e-9, above the 10 solver_tol to which the
-benchmark holds twin runs to their recorded reference.  At n=128 with the
-spectral projection it saved nothing (4.06 -> 4.0 applications).
+room for answers far apart.  Started from the same increment
+extrapolation, the chi=1e4 fused solve with the cell average at n=64 took
+23 applications instead of 51, but its twin relative error moved by up to
+1.5e-8, where the benchmark holds every twin run to 10 solver_tol = 1e-9
+of its recorded reference; with the spectral projection at n=128 it took
+3.1 instead of 4.1 and moved by up to 7.9e-10.
 
 `StabilityLedger` accumulates the discrete energy budget
     ||v^N||^2 + sum_n [ ||increments||^2 + k nu ||grad vt||^2
