@@ -11,11 +11,17 @@ is solved three ways:
       v = vtilde + (k chi / (1 + k chi)) (I_H u - I_H vtilde),
   valid exactly when I_H is idempotent (a projection); refuses
   non-idempotent operators instead of silently being wrong.
-* `step2a_implicit` -- CG on the SPD system (I + k chi I_H) v = rhs,
-  valid for every operator (diagonal shortcut for the filter).
+* `step2a_implicit` -- the SPD system (I + k chi I_H) v = rhs, valid
+  for every operator.
 * `step2b` -- the variant that also carries the viscous term,
       (I - k nu lap)(v - vtilde) + k chi I_H v = k chi I_H u,
   so the increment is H^1-smoothed rather than pointwise.
+
+Both systems are (base + k chi I_H) v = rhs with base a mode multiplier.
+When I_H is a Fourier multiplier they are solved by one divide by the
+operator's `shifted_diagonal`; otherwise (the cell average) by CG
+preconditioned with its reciprocal.  `force_iterative` runs CG anyway,
+so that a check can compare a closed form against a real solve.
 
 `verify_form_b` checks the general-operator identity that connects the
 implicit solution to the explicit formula plus a correction through
@@ -24,8 +30,10 @@ differential filter it does not, and both facts are load-bearing tests.
 
 The identity checks at the bottom are the per-step conservation laws
 of the analysis update (L2 polarization, gradient monotonicity, and
-the viscous variant's energy balance).  They are pure functions of the
-error fields, so runs can ledger them at every step.
+the viscous variant's energy balance).  They are written with
+(I_H e, e) rather than ||I_H e||^2, so they hold for every self-adjoint
+I_H, the filter included.  They are pure functions of the error fields,
+so runs can ledger them at every step.
 """
 
 from __future__ import annotations
@@ -35,33 +43,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observers import DIFFERENTIAL_FILTER, SPECTRAL_PROJECTION, ObservationOperator
+from .observers import ObservationOperator
 from .solvers import SolveInfo, solve_cg
-from .spectral import (
-    SpectralVectorField,
-    _readonly,
-    coeff_dot,
-    h1_seminorm,
-    l2_norm,
-    leray_project,
-)
+from .spectral import SpectralVectorField, _readonly, coeff_dot, h1_seminorm, inner, l2_norm
+from .stepping import StepResult
 
 DEFAULT_CG_TOL = 1e-12
 
 
-@dataclass
-class AnalysisResult:
-    v: SpectralVectorField
-    path: str  # "explicit" | "cg" | "diagonal"
-    iterations: int = 0
-    residual: float = 0.0
-
-
-def _as_result(grid, coeffs, time, path, info: SolveInfo | None = None) -> AnalysisResult:
-    field = SpectralVectorField(grid, _readonly(coeffs), time)
-    if info is None:
-        return AnalysisResult(field, path)
-    return AnalysisResult(field, path, iterations=info.iterations, residual=info.residual)
+def _result(vtilde: SpectralVectorField, coeffs, info: SolveInfo | None = None) -> StepResult:
+    v = SpectralVectorField(vtilde.grid, _readonly(coeffs), vtilde.time)
+    return StepResult(v) if info is None else StepResult(v, info.iterations, info.residual)
 
 
 def step2a_explicit(
@@ -70,7 +62,7 @@ def step2a_explicit(
     op: ObservationOperator,
     k: float,
     chi: float,
-) -> AnalysisResult:
+) -> StepResult:
     """Closed-form analysis update for idempotent observation operators."""
     _check_params(k, chi)
     if not op.idempotent:
@@ -79,10 +71,9 @@ def step2a_explicit(
             "use step2a_implicit instead"
         )
     if chi == 0.0:
-        return AnalysisResult(vtilde, "explicit")
+        return StepResult(vtilde)
     gain = k * chi / (1.0 + k * chi)
-    c = vtilde.coeffs + gain * (u_obs.coeffs - op.apply_coeffs(vtilde.coeffs))
-    return _as_result(vtilde.grid, c, vtilde.time, "explicit")
+    return _result(vtilde, vtilde.coeffs + gain * (u_obs.coeffs - op.apply_coeffs(vtilde.coeffs)))
 
 
 def step2a_implicit(
@@ -93,34 +84,14 @@ def step2a_implicit(
     chi: float,
     tol: float = DEFAULT_CG_TOL,
     force_iterative: bool = False,
-) -> AnalysisResult:
+) -> StepResult:
     """Solve (I + k chi I_H) v = vtilde + k chi I_H u for any operator."""
     _check_params(k, chi, tol)
     if chi == 0.0:
-        return AnalysisResult(vtilde, "diagonal")
-    grid = vtilde.grid
+        return StepResult(vtilde)
     kchi = k * chi
     rhs = vtilde.coeffs + kchi * u_obs.coeffs
-    if op.kind == DIFFERENTIAL_FILTER and not force_iterative:
-        c = rhs / (1.0 + kchi * op.multiplier)
-        return _as_result(grid, c, vtilde.time, "diagonal")
-
-    def apply_op(c):
-        return c + kchi * op.apply_coeffs(c)
-
-    precond = None
-    if op.multiplier is not None:
-        diag = 1.0 / (1.0 + kchi * op.multiplier)
-        precond = lambda r: diag * r  # noqa: E731
-    c, info = solve_cg(
-        apply_op,
-        rhs,
-        dot=lambda a, b: coeff_dot(grid, a, b),
-        x0=vtilde.coeffs.copy(),
-        tol=tol,
-        precondition=precond,
-    )
-    return _as_result(grid, c, vtilde.time, "cg", info)
+    return _shifted_solve(vtilde, rhs, op, 1.0, kchi, tol, force_iterative)
 
 
 def step2b(
@@ -132,52 +103,44 @@ def step2b(
     nu: float,
     tol: float = DEFAULT_CG_TOL,
     force_iterative: bool = False,
-) -> AnalysisResult:
+) -> StepResult:
     """Analysis update with a viscous lift of the increment.
 
     Solves (I - k nu lap + k chi I_H) v = (I - k nu lap) vtilde
-    + k chi I_H u, an SPD system; mode-diagonal when the observation
-    operator is the spectral projection.
+    + k chi I_H u, an SPD system.
     """
     _check_params(k, chi, tol)
     if not nu > 0:
         raise ValueError("viscosity must be positive")
-    grid = vtilde.grid
-    kchi = k * chi
-    helm = 1.0 + k * nu * grid.k2  # (I - k nu lap) in mode space
-    rhs = helm * vtilde.coeffs + kchi * u_obs.coeffs
     if chi == 0.0:
-        return AnalysisResult(vtilde, "diagonal")
-    if op.kind == SPECTRAL_PROJECTION and not force_iterative:
-        c = rhs / (helm + kchi * op.multiplier)
-        return _as_result(grid, c, vtilde.time, "diagonal")
+        return StepResult(vtilde)
+    kchi = k * chi
+    helm = 1.0 + k * nu * vtilde.grid.k2  # (I - k nu lap) in mode space
+    rhs = helm * vtilde.coeffs + kchi * u_obs.coeffs
+    return _shifted_solve(vtilde, rhs, op, helm, kchi, tol, force_iterative)
 
-    def apply_op(c):
-        return helm * c + kchi * op.apply_coeffs(c)
 
-    if op.multiplier is not None:
-        diag = 1.0 / (helm + kchi * op.multiplier)
-    else:
-        diag = 1.0 / helm
+def _shifted_solve(vtilde, rhs, op, base, kchi, tol, force_iterative) -> StepResult:
+    """Solve (base + k chi I_H) v = rhs, with base a mode multiplier.
+
+    A divide when I_H is a Fourier multiplier, unless `force_iterative`;
+    otherwise CG from vtilde, preconditioned by the reciprocal of the
+    operator's shifted diagonal.
+    """
+    diag = op.shifted_diagonal(base, kchi)
+    if op.diagonal and not force_iterative:
+        return _result(vtilde, rhs / diag)
+    grid = vtilde.grid
+    inv_diag = 1.0 / diag
     c, info = solve_cg(
-        apply_op,
+        lambda c: base * c + kchi * op.apply_coeffs(c),
         rhs,
         dot=lambda a, b: coeff_dot(grid, a, b),
         x0=vtilde.coeffs.copy(),
         tol=tol,
-        precondition=lambda r: diag * r,
+        precondition=lambda r: inv_diag * r,
     )
-    return _as_result(grid, c, vtilde.time, "cg", info)
-
-
-def reproject(result: AnalysisResult) -> AnalysisResult:
-    """Restore exact solenoidality after a divergence-breaking update.
-
-    The cell average does not preserve divergence-freeness, so runs
-    re-apply the Leray projection to the analysis state before stepping
-    on.  Identity checks are made on the un-projected state.
-    """
-    return AnalysisResult(leray_project(result.v), result.path, result.iterations, result.residual)
+    return _result(vtilde, c, info)
 
 
 def _check_params(k: float, chi: float, tol: float | None = None):
@@ -251,18 +214,17 @@ def check_polarization_identity(
 ) -> float:
     """Relative residual of the L2 balance of the plain analysis step.
 
-    For a projection I_H,
+    For any self-adjoint I_H,
         1/2 ||e||^2 - 1/2 ||etilde||^2 + 1/2 ||e - etilde||^2
-            + k chi ||I_H e||^2 = 0,
-    which in particular forces ||e|| < ||etilde|| whenever I_H e != 0.
-    Normalized by ||etilde||^2.
+            + k chi (I_H e, e) = 0,
+    which in particular forces ||e|| < ||etilde|| whenever I_H is
+    positive and I_H e != 0.  Normalized by ||etilde||^2.
     """
-    obs_e = op.apply(e)
     lhs = (
         0.5 * l2_norm(e) ** 2
         - 0.5 * l2_norm(etilde) ** 2
         + 0.5 * l2_norm(e - etilde) ** 2
-        + k * chi * l2_norm(obs_e) ** 2
+        + k * chi * inner(op.apply(e), e)
     )
     denom = l2_norm(etilde) ** 2
     if denom == 0.0:
@@ -280,9 +242,9 @@ def check_gradient_monotonicity(
     """Relative residual of the H1-seminorm balance of the analysis step.
 
     Requires the operator to commute with the gradient (true for the
-    mode-diagonal kinds); with I_H a projection,
+    mode-diagonal kinds); then
         ||grad e||^2 + ||grad(e - etilde)||^2
-            + 2 k chi ||I_H grad e||^2 = ||grad etilde||^2.
+            + 2 k chi (I_H grad e, grad e) = ||grad etilde||^2.
     Normalized by ||grad etilde||^2.  For the cell average this is
     reported as a diagnostic, never asserted.
     """
@@ -292,7 +254,7 @@ def check_gradient_monotonicity(
     obs_grad = op.apply_coeffs(grad_e)
     a = h1_seminorm(e) ** 2
     b = h1_seminorm(e - etilde) ** 2
-    s = coeff_dot(grid, obs_grad, obs_grad)
+    s = coeff_dot(grid, obs_grad, grad_e)
     d = h1_seminorm(etilde) ** 2
     if d == 0.0:
         return 0.0 if a + b + s == 0.0 else float("inf")
@@ -310,7 +272,7 @@ def check_energy_identity_2b(
     """Relative residual of the viscous analysis step's energy balance.
 
     ||e||^2 + k nu ||grad e||^2 + ||e - etilde||^2
-        + k nu ||grad(e - etilde)||^2 + 2 k chi ||I_H e||^2
+        + k nu ||grad(e - etilde)||^2 + 2 k chi (I_H e, e)
         = ||etilde||^2 + k nu ||grad etilde||^2.
     """
     diff = e - etilde
@@ -319,7 +281,7 @@ def check_energy_identity_2b(
         + k * nu * h1_seminorm(e) ** 2
         + l2_norm(diff) ** 2
         + k * nu * h1_seminorm(diff) ** 2
-        + 2.0 * k * chi * l2_norm(op.apply(e)) ** 2
+        + 2.0 * k * chi * inner(op.apply(e), e)
     )
     rhs = l2_norm(etilde) ** 2 + k * nu * h1_seminorm(etilde) ** 2
     if rhs == 0.0:

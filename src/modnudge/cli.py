@@ -63,7 +63,7 @@ def _load(args, mode: str) -> RunConfig:
 def cmd_converge(args) -> int:
     cfg = _load(args, "manufactured")
     outdir = resolve_outdir(cfg.outdir)
-    schemes = args.schemes.split(",") if args.schemes else ex.CONVERGE_SCHEMES
+    schemes = args.schemes.split(",") if args.schemes else ex.SCHEMES[1:]
     tables = ex.run_converge(cfg, schemes=schemes)
     fileio.write_convergence_csv(
         outdir / "convergence.csv", {s: list(t.rows) for s, t in tables.items()}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .spectral import (
     random_divfree_field,
 )
 from .stepping import (
+    SCHEMES,
     ForecastState,
     SchemeConfig,
     StabilityLedger,
@@ -59,70 +60,21 @@ from .stepping import (
 
 OBS_ERROR_FLOOR = 1e-14  # below this, strict error decrease is not required
 
-CONVERGE_SCHEMES = ("2a-explicit", "2a-implicit", "2b", "standard")
-
 
 # ---------------------------------------------------------------------------
 # one assimilation step, any scheme
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class AdvanceRecord:
-    """What one combined forecast/analysis step produced."""
-
-    vtilde: SpectralVectorField  # pre-analysis state (equals v for fused/none)
-    v: SpectralVectorField
-    iterations: int
-    residual: float
-
-
-def _forecast(state, forcing, u_obs, op) -> AdvanceRecord:
-    res = step1_forecast(state, forcing)
-    return AdvanceRecord(res.v, res.v, res.iterations, res.residual)
-
-
-def _fused_nudging(state, forcing, u_obs, op) -> AdvanceRecord:
-    res = step_standard_nudging(state, forcing, u_obs, op)
-    return AdvanceRecord(res.v, res.v, res.iterations, res.residual)
-
-
-def _forecast_then(update) -> Callable[..., AdvanceRecord]:
-    """The forecast followed by `update(vtilde, u_obs, op, config)`."""
-
-    def step(state, forcing, u_obs, op) -> AdvanceRecord:
-        fres = step1_forecast(state, forcing)
-        ares = update(fres.v, u_obs, op, state.config)
-        return AdvanceRecord(
-            fres.v, ares.v, fres.iterations + ares.iterations, max(fres.residual, ares.residual)
-        )
-
-    return step
-
-
-class AnalysisStep(NamedTuple):
-    # (state, forcing, u_obs, op); leaves velocity and clock as they were,
-    # and a forecast records its increment in state.history
-    step: Callable[..., AdvanceRecord]
-    plain: bool  # solves (v - vtilde)/k = chi I_H(u - v); run_twin ledgers its identities
-
-
-# The entries look step1_forecast, step_standard_nudging and the analysis
-# updates up in this module each time they run, so patching one of those
-# module attributes reaches `advance`.
-ANALYSIS_STEPS = {
-    "none": AnalysisStep(_forecast, False),
-    "standard": AnalysisStep(_fused_nudging, False),
-    "2a-explicit": AnalysisStep(
-        _forecast_then(lambda vt, obs, op, c: step2a_explicit(vt, obs, op, c.k, c.chi)), True
-    ),
-    "2a-implicit": AnalysisStep(
-        _forecast_then(lambda vt, obs, op, c: step2a_implicit(vt, obs, op, c.k, c.chi)), True
-    ),
-    "2b": AnalysisStep(
-        _forecast_then(lambda vt, obs, op, c: step2b(vt, obs, op, c.k, c.chi, c.nu)), False
-    ),
+# The analysis update each two-step scheme applies after the forecast.  The
+# entries look the updates up in this module each time they run, so patching
+# one of those module attributes reaches `advance`.
+ANALYSIS_UPDATES = {
+    "2a-explicit": lambda vt, obs, op, c: step2a_explicit(vt, obs, op, c.k, c.chi),
+    "2a-implicit": lambda vt, obs, op, c: step2a_implicit(vt, obs, op, c.k, c.chi),
+    "2b": lambda vt, obs, op, c: step2b(vt, obs, op, c.k, c.chi, c.nu),
 }
+# The schemes that solve (v - vtilde)/k = chi I_H(u - v); run_twin ledgers their identities.
+PLAIN_SCHEMES = ("2a-explicit", "2a-implicit")
 
 
 def advance(
@@ -130,20 +82,27 @@ def advance(
     forcing_field: SpectralVectorField,
     u_obs: SpectralVectorField | None,
     op: ObservationOperator | None,
-) -> AdvanceRecord:
-    """Advance `state` one step in place and report the intermediate field.
+) -> SpectralVectorField:
+    """Advance `state` one step in place and return the pre-analysis state vtilde.
 
     `u_obs` is the already-observed truth I_H u(t + k); it may be None
     only for the plain forecast.  The state leaves with the new velocity
-    and clock and, for every scheme that runs a forecast, with that
+    and clock (vtilde itself for the plain forecast and the fused
+    `standard` step) and, for every scheme that runs a forecast, with that
     forecast's increment in its history (which starts the next forecast);
     the fused `standard` step leaves the history as it was.
     """
-    scheme = "none" if state.config.chi == 0.0 else state.config.scheme
-    rec = ANALYSIS_STEPS[scheme].step(state, forcing_field, u_obs, op)
-    state.time = rec.v.time
-    state.velocity = rec.v
-    return rec
+    cfg = state.config
+    scheme = cfg.scheme if cfg.chi > 0 else "none"
+    if scheme == "standard":
+        vtilde = v = step_standard_nudging(state, forcing_field, u_obs, op).v
+    else:
+        vtilde = v = step1_forecast(state, forcing_field).v
+        if scheme in ANALYSIS_UPDATES:
+            v = ANALYSIS_UPDATES[scheme](vtilde, u_obs, op, cfg).v
+    state.time = v.time
+    state.velocity = v
+    return vtilde
 
 
 def error_decreased(
@@ -211,9 +170,10 @@ def manufactured_error(
 def run_converge(
     cfg: RunConfig,
     k_list: Sequence[float] | None = None,
-    schemes: Sequence[str] = CONVERGE_SCHEMES,
+    schemes: Sequence[str] = SCHEMES[1:],
 ) -> dict[str, ConvergenceTable]:
-    """One error-vs-k table per scheme, sharing the config's (n, nu, chi, T)."""
+    """One error-vs-k table per scheme, sharing the config's (n, nu, chi, T);
+    by default every scheme but the plain forecast `none`."""
     ks = tuple(k_list if k_list is not None else cfg.k_list)
     tables: dict[str, ConvergenceTable] = {}
     for scheme in schemes:
@@ -385,16 +345,17 @@ def run_twin(
             if abs(state.time + cfg.k - u_next.time) > 1e-6 * cfg.k:
                 raise RuntimeError("truth and assimilation clocks diverged")
             try:
-                rec = advance(state, f_next, u_obs, op)
+                vtilde = advance(state, f_next, u_obs, op)
             except KrylovError as exc:
                 raise exc.located(f"variant {var.name!r}, step {n}, t={u_next.time:.6g}") from exc
-            e = u_next - rec.v
+            v = state.velocity
+            e = u_next - v
             err = l2_norm(e)
             rels[var.name].append(err / u_norm)
-            if ANALYSIS_STEPS[var.scheme].plain and var.chi > 0:
-                etilde = u_next - rec.vtilde
+            if var.scheme in PLAIN_SCHEMES and var.chi > 0:
+                etilde = u_next - vtilde
                 pol = check_polarization_identity(e, etilde, op, cfg.k, var.chi)
-                formb = verify_form_b(rec.vtilde, rec.v, u_next, op, cfg.k, var.chi).residual_rel
+                formb = verify_form_b(vtilde, v, u_next, op, cfg.k, var.chi).residual_rel
                 gm = (
                     check_gradient_monotonicity(e, etilde, op, cfg.k, var.chi)
                     if op.commutes_with_gradient
@@ -525,7 +486,7 @@ def explicit_implicit_equivalence(rng: np.random.Generator, count: int) -> Prope
         k, chi = _random_k_chi(rng, -2, 4)
         u_obs = op.apply(u)
         expl = step2a_explicit(vt, u_obs, op, k, chi)
-        impl = step2a_implicit(vt, u_obs, op, k, chi, tol=1e-13)
+        impl = step2a_implicit(vt, u_obs, op, k, chi, tol=1e-13, force_iterative=True)
         worst = max(worst, l2_norm(expl.v - impl.v) / max(l2_norm(impl.v), 1e-300))
     return PropertyResult(
         "explicit-implicit-equivalence",
@@ -655,8 +616,8 @@ def momentum_residual(rng: np.random.Generator) -> PropertyResult:
     f = random_divfree_field(grid, rng, kmax=3, normalize=0.5)
     for _ in range(10):
         prev = state.velocity
-        rec = advance(state, f, None, None)
-        worst = max(worst, verify_momentum_residual(prev, rec.v, f, 0.02, 0.05))
+        v = advance(state, f, None, None)
+        worst = max(worst, verify_momentum_residual(prev, v, f, 0.02, 0.05))
     return PropertyResult(
         "momentum-residual",
         worst <= 1e-9,

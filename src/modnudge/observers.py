@@ -85,6 +85,19 @@ class ObservationOperator:
         g = ex @ c @ ey
         return ox @ (g + np.conj(g[..., neg[:, None], neg])) @ oy
 
+    def shifted_diagonal(self, base, scale: float):
+        """Mode-space diagonal of base + scale I_H, where base is a mode multiplier.
+
+        Exact when I_H is a Fourier multiplier (`diagonal`); for the cell
+        average it is `base` alone, the part a preconditioner can invert.
+        """
+        return base + scale * self.multiplier if self.diagonal else base
+
+    @property
+    def diagonal(self) -> bool:
+        """Whether I_H is a Fourier multiplier, so shifted systems solve by a divide."""
+        return self.multiplier is not None
+
     @property
     def idempotent(self) -> bool:
         """Whether I_H^2 = I_H, which makes the explicit analysis update exact."""
@@ -93,7 +106,7 @@ class ObservationOperator:
     @property
     def commutes_with_gradient(self) -> bool:
         """True when grad(I_H w) = I_H(grad w) mode by mode."""
-        return self.kind != CELL_AVERAGE
+        return self.diagonal
 
 
 def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOperator:
@@ -236,10 +249,6 @@ class ApproxConstants:
     c1: float
     analytic_bound: float
     samples: int
-
-    @property
-    def within_bound(self) -> bool:
-        return self.c1 <= self.analytic_bound * (1 + 1e-10)
 
 
 def estimate_c1(

@@ -18,14 +18,14 @@ the new time level), which is second-order and keeps every step linear.
 
 Krylov starts.  Solutions of successive steps are close, so a solve
 that starts from a polynomial extrapolation of earlier solutions needs
-fewer operator applications (Fischer 1998).  The truth starts from the
-quadratic extrapolation 3u^n - 3u^{n-1} + u^{n-2}.  The forecast is a
-plain step without nudging, as smooth in time as the flow, so its
-increments vt - v extrapolate well: it starts from v^n + 2 d^n - d^{n-1},
-where d = vt - v are the state's last two increments (`ForecastHistory`).
-The guesses only set where GMRES starts; every solve is still judged on
-its true residual, so results move within the solver tolerance.  The
-fused nudging solve keeps the cold start v^n.  It is stiff in chi, and
+fewer operator applications (Fischer 1998).  The truth and the forecast
+are plain steps without nudging, as smooth in time as the flow, so their
+increments d (u^{n+1} - u^n, or vt - v) extrapolate well: both start
+from x^n + 2 d^n - d^{n-1}, the quadratic extrapolation, over the last
+two increments that one `IncrementHistory` holds.  The guesses only set
+where GMRES starts; every solve is still judged on its true residual, so
+results move within the solver tolerance.  The fused nudging solve keeps
+the cold start v^n.  It is stiff in chi, and
 its right side carries chi I_H u, so the tolerance 1e-10 ||b|| leaves
 room for answers far apart.  Started from the same increment
 extrapolation, the chi=1e4 fused solve with the cell average at n=64 took
@@ -107,34 +107,34 @@ def check_scheme_operator(scheme: str, operator_kind: str):
         )
 
 
-class ForecastHistory:
-    """The last two forecast increments d = vt - v of one state.
+class IncrementHistory:
+    """The last two increments d = x^{n+1} - x^n of one sequence of solves.
 
-    Both buffers are allocated once, at the state's first forecast.  They
-    are stored in single precision: they only place the initial GMRES
-    iterate, and the solve is judged on its true residual.
+    Both buffers are allocated once.  They are stored in single precision:
+    they only place the initial GMRES iterate, and the solve is judged on
+    its true residual.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self._newer = np.zeros(shape, dtype=np.complex64)
-        self._older = np.zeros(shape, dtype=np.complex64)
+        self._latest = np.zeros(shape, dtype=np.complex64)
+        self._earlier = np.zeros(shape, dtype=np.complex64)
         self.count = 0  # increments recorded so far, at most 2
 
-    def guess(self, v: np.ndarray) -> np.ndarray:
-        """The initial iterate v + 2 d^n - d^{n-1}; v + d^n after one
-        forecast, v before any."""
-        x0 = v.copy()
+    def guess(self, x: np.ndarray) -> np.ndarray:
+        """The initial iterate x + 2 d^n - d^{n-1} for the solve after x;
+        x + d^n after one recorded increment, x before any."""
+        x0 = x.copy()
         if self.count == 1:
-            x0 += self._newer
+            x0 += self._latest
         elif self.count == 2:
-            x0 += 2.0 * self._newer
-            x0 -= self._older
+            x0 += 2.0 * self._latest
+            x0 -= self._earlier
         return x0
 
-    def record(self, vtilde: np.ndarray, v: np.ndarray):
-        """Make vtilde - v the newest increment, dropping the oldest."""
-        self._newer, self._older = self._older, self._newer
-        np.subtract(vtilde, v, out=self._newer, casting="same_kind")
+    def record(self, new: np.ndarray, old: np.ndarray):
+        """Make new - old the latest increment, dropping the earlier one."""
+        self._latest, self._earlier = self._earlier, self._latest
+        np.subtract(new, old, out=self._latest, casting="same_kind")
         self.count = min(self.count + 1, 2)
 
 
@@ -150,14 +150,17 @@ class ForecastState:
     time: float
     velocity: SpectralVectorField
     config: SchemeConfig
-    history: ForecastHistory | None = None
+    history: IncrementHistory | None = None
 
 
 @dataclass
 class StepResult:
+    """A forecast or analysis state with its Krylov count and final relative
+    residual (both 0 where no iterative solve ran)."""
+
     v: SpectralVectorField
-    iterations: int
-    residual: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
 def _require_zero_mean(f: SpectralVectorField, what: str):
@@ -180,8 +183,7 @@ def _momentum_operator(
     pdiag = diag
     if nudge is not None:
         op, chi = nudge
-        if op.multiplier is not None:
-            pdiag = diag + chi * op.multiplier
+        pdiag = op.shifted_diagonal(diag, chi)
 
         def apply_op(c):
             out = diag * c + _leray_coeffs(grid, _advect_div_coeffs(grid, a_vals, c))
@@ -225,7 +227,7 @@ def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepRe
     _require_zero_mean(forcing, "forcing")
     v = state.velocity.coeffs
     if state.history is None:
-        state.history = ForecastHistory(v.shape)
+        state.history = IncrementHistory(v.shape)
     rhs = _leray_coeffs(grid, forcing.coeffs) + v / cfg.k
     c, info = _momentum_solve(
         grid, state.velocity, rhs, state.history.guess(v), cfg.k, cfg.nu, cfg.solver_tol
@@ -283,10 +285,10 @@ class TruthIntegrator:
     The advecting velocity is the second-order extrapolation
     2 u^n - u^{n-1}, so the implicit system stays linear while the
     overall scheme remains second order.  The first step is backward
-    Euler from u0.  GMRES starts from u^n on the first step, from
-    2 u^n - u^{n-1} on the second, and from the quadratic extrapolation
-    3 u^n - 3 u^{n-1} + u^{n-2} after that, so the integrator keeps three
-    levels.
+    Euler from u0.  GMRES starts from the extrapolation of the last two
+    increments (`IncrementHistory`), u^n + 2 d^n - d^{n-1} with
+    d^n = u^n - u^{n-1}, which equals 3 u^n - 3 u^{n-1} + u^{n-2}; the
+    second step starts from 2 u^n - u^{n-1} and the first from u^n.
     """
 
     def __init__(
@@ -309,7 +311,7 @@ class TruthIntegrator:
         self.time = u0.time
         self.current = u0
         self.previous: SpectralVectorField | None = None
-        self._older: np.ndarray | None = None  # coefficients of u^{n-2}
+        self.history = IncrementHistory(u0.coeffs.shape)
         self.last_iterations = 0
 
     def step(self) -> SpectralVectorField:
@@ -318,28 +320,17 @@ class TruthIntegrator:
         f = self.forcing(t_next)
         _require_zero_mean(f, "forcing")
         pf = _leray_coeffs(grid, f.coeffs)
+        u = self.current.coeffs
         if self.previous is None:
-            cfg_like_rhs = pf + self.current.coeffs / k
-            c, info = _momentum_solve(
-                grid,
-                self.current,
-                cfg_like_rhs,
-                self.current.coeffs.copy(),
-                k,
-                nu,
-                self.solver_tol,
-            )
+            adv, rhs, k_eff = self.current, pf + u / k, k
         else:
             # (3u+ - 4u + u-)/(2k): same solve with k -> 2k/3 and a
             # history-weighted right side
             adv = 2.0 * self.current - self.previous
-            rhs = pf + (4.0 * self.current.coeffs - self.previous.coeffs) / (2.0 * k)
-            if self._older is None:
-                x0 = adv.coeffs.copy()
-            else:
-                x0 = 3.0 * (self.current.coeffs - self.previous.coeffs) + self._older
-            c, info = _momentum_solve(grid, adv, rhs, x0, 2.0 * k / 3.0, nu, self.solver_tol)
-            self._older = self.previous.coeffs
+            rhs = pf + (4.0 * u - self.previous.coeffs) / (2.0 * k)
+            k_eff = 2.0 * k / 3.0
+        c, info = _momentum_solve(grid, adv, rhs, self.history.guess(u), k_eff, nu, self.solver_tol)
+        self.history.record(c, u)
         self.previous = self.current
         self.current = SpectralVectorField(grid, _readonly(c), t_next)
         self.time = t_next

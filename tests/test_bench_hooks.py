@@ -1,0 +1,71 @@
+"""The benchmark tracer (perfbench/tracer.py) wraps package attributes by name.
+
+It is installed here on a tiny twin run, so that a renamed or bypassed hook
+fails the test suite instead of a traced benchmark run.  Only reads perfbench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from modnudge import assimilate, condlab, experiments as ex, observers, stepping
+from modnudge.config import RunConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hooked_attributes():
+    return {
+        "run_twin": ex.run_twin,
+        "advance": ex.advance,
+        "step1_forecast": ex.step1_forecast,
+        "step2b": ex.step2b,
+        "solve_gmres": stepping.solve_gmres,
+        "solve_cg": assimilate.solve_cg,
+        "truth_step": stepping.TruthIntegrator.step,
+        "apply_coeffs": observers.ObservationOperator.apply_coeffs,
+        "assemble": condlab.assemble,
+    }
+
+
+def test_tracer_and_step_clock_reach_every_layer_and_restore():
+    tracer_module = load_tracer()
+    cfg = RunConfig(n=16, T=0.04, chi=1e4, operator="cell-average", operator_scale=4,
+                    windows=((0.02, 0.04),))
+    variants = [ex.TwinVariant("chi-0", "none", 0.0)] + [
+        ex.TwinVariant(f"{scheme}-chi-10000", scheme, 1e4)
+        for scheme in ("2a-explicit", "2a-implicit", "2b", "standard")
+    ]
+    names = {(v.scheme, v.chi): v.name for v in variants}
+    before = hooked_attributes()
+    patches = tracer_module.Patches()
+    tracer, clock, results = tracer_module.Tracer(), tracer_module.StepClock(), []
+    try:
+        tracer.install(patches, names)
+        clock.install(patches, "twin", results)
+        clock.install(patches, "condlab", [])
+        ex.run_twin(cfg, variants)
+    finally:
+        patches.restore()
+    assert hooked_attributes() == before
+
+    assert clock.completed() == cfg.steps and len(results) == 1
+    values = {}
+    for name, _, _, _, value in tracer.spans:
+        values.setdefault(name, []).append(value)
+    expected = {
+        "spectral.fft", "spectral.advect", "solvers.gmres", "solvers.gmres.matvec",
+        "solvers.gmres.precond", "solvers.cg", "stepping.truth_substep", "stepping.forecast",
+        "stepping.standard", "observers.apply", "assimilate.identity",
+    } | {f"assimilate.analysis.{s}" for s in ("2a-explicit", "2a-implicit", "2b")}
+    expected |= {f"experiments.advance.{v.name}" for v in variants}
+    assert expected <= set(values)
+    for name in ("stepping.truth_substep", "solvers.cg", "assimilate.analysis.2a-implicit"):
+        assert all(isinstance(v, int) and v > 0 for v in values[name]), name
+    assert values["assimilate.analysis.2a-explicit"] == [0] * cfg.steps

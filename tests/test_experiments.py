@@ -40,11 +40,11 @@ class TestAdvance:
         cfg = SchemeConfig(k=0.05, nu=0.1, chi=0.0, scheme="none")
         s1 = ForecastState(0.0, v0, cfg)
         s2 = ForecastState(0.0, v0, cfg)
-        rec = ex.advance(s1, f, None, None)
+        vtilde = ex.advance(s1, f, None, None)
         ref = step1_forecast(s2, f)
-        assert np.array_equal(rec.v.coeffs, ref.v.coeffs)
+        assert np.array_equal(vtilde.coeffs, ref.v.coeffs)
         assert s1.time == pytest.approx(0.05)
-        assert rec.vtilde is rec.v
+        assert s1.velocity is vtilde
 
     def test_two_step_matches_manual_composition(self):
         grid = get_grid(32)
@@ -55,14 +55,19 @@ class TestAdvance:
         op = make_spectral_projection(grid, 5)
         cfg = SchemeConfig(k=0.05, nu=0.1, chi=20.0, scheme="2a-explicit")
         state = ForecastState(0.0, v0, cfg)
-        rec = ex.advance(state, f, op.apply(u), op)
+        got_vtilde = ex.advance(state, f, op.apply(u), op)
 
         manual_state = ForecastState(0.0, v0, cfg)
         vtilde = step1_forecast(manual_state, f).v
         manual = step2a_explicit(vtilde, op.apply(u), op, 0.05, 20.0)
-        assert np.array_equal(rec.vtilde.coeffs, vtilde.coeffs)
-        assert np.array_equal(rec.v.coeffs, manual.v.coeffs)
-        assert state.velocity is rec.v
+        assert np.array_equal(got_vtilde.coeffs, vtilde.coeffs)
+        assert np.array_equal(state.velocity.coeffs, manual.v.coeffs)
+        assert state.time == pytest.approx(0.05)
+
+
+def test_every_scheme_has_one_step_rule():
+    assert set(stepping.SCHEMES) == {"none", "standard"} | set(ex.ANALYSIS_UPDATES)
+    assert set(ex.PLAIN_SCHEMES) < set(ex.ANALYSIS_UPDATES)
 
 
 class TestManufacturedConvergence:
@@ -180,6 +185,21 @@ class TestTwin:
             assert pol.max() <= 1e-10
             assert formb.max() <= 10 * cfg.solver_tol
             assert np.isnan(gm).all()  # the cell average does not commute with grad
+            assert vr.decrease_checked > 0
+            assert vr.decrease_violations == 0
+
+    def test_filter_twin_keeps_the_identities(self):
+        # the general forms (I_H e, e) and (I_H grad e, grad e) hold for the filter too
+        cfg = RunConfig(n=32, T=0.1, operator="differential-filter", operator_scale=0.5,
+                        scheme="2a-implicit")
+        result = ex.run_twin(cfg)
+        two_step = [vr for vr in result.variants.values() if vr.variant.chi > 0]
+        assert len(two_step) == 2
+        for vr in two_step:
+            pol, formb, gm = np.asarray([r[6:] for r in vr.ledger_rows], dtype=float).T
+            assert pol.max() <= 1e-10
+            assert formb.max() <= 1e-10
+            assert gm.max() <= 1e-10
             assert vr.decrease_checked > 0
             assert vr.decrease_violations == 0
 

@@ -241,6 +241,20 @@ class TestSharedContracts:
                 w = sp.random_divfree_field(grid, rng, decay=rng.uniform(0.2, 1.0))
                 assert sp.l2_norm(op.apply(w)) <= sp.l2_norm(w) * (1 + 1e-12)
 
+    def test_shifted_diagonal_is_base_plus_scale_times_the_multiplier(self, grid):
+        base = 1.0 + 0.3 * grid.k2
+        for op in all_operators(grid):
+            diag = op.shifted_diagonal(base, 2.5)
+            assert op.diagonal == (op.kind != obs.CELL_AVERAGE) == op.commutes_with_gradient
+            if not op.diagonal:
+                assert diag is base  # the cell average leaves the preconditioner alone
+                continue
+            for kx, ky in ((0, 1), (3, 2), (-5, 4), (9, 0)):
+                w = single_mode_scalar(grid, kx, ky)
+                want = mode_coefficient(base * w.coeffs + 2.5 * op.apply(w).coeffs, kx, ky)
+                got = mode_coefficient(diag * w.coeffs, kx, ky)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
     def test_factory_round_trip(self, grid):
         op = obs.make_operator(grid, "cell-average", 8)
         assert op.kind == obs.CELL_AVERAGE and op.fold[0].shape == (8, grid.n)
