@@ -23,17 +23,19 @@ operator's `shifted_diagonal`; otherwise (the cell average) by CG
 preconditioned with its reciprocal.  `force_iterative` runs CG anyway,
 so that a check can compare a closed form against a real solve.
 
-`verify_form_b` checks the general-operator identity that connects the
-implicit solution to the explicit formula plus a correction through
-(I_H - I_H^2); for projections the correction vanishes, for the
-differential filter it does not, and both facts are load-bearing tests.
-
-The identity checks at the bottom are the per-step conservation laws
-of the analysis update (L2 polarization, gradient monotonicity, and
-the viscous variant's energy balance).  They are written with
-(I_H e, e) rather than ||I_H e||^2, so they hold for every self-adjoint
-I_H, the filter included.  They are pure functions of the error fields,
-so runs can ledger them at every step.
+The bottom half records one plain analysis step.  `verify_form_b`
+returns an `AnalysisRecord`: the L2 norms of the errors e = u - v and
+etilde = u - vtilde and of their gradients; the residuals of the step's
+L2 polarization balance and gradient balance; the residual of the
+general-operator update identity ("form B": the implicit solution equals
+the explicit formula plus a correction through (I_H - I_H^2), which
+vanishes for projections and not for the differential filter); and
+whether the error strictly decreased.  All of it comes from one I_H e and
+one pass of weighted sums over e, etilde and e - etilde, so runs can
+ledger it at every step.  The balances are written with (I_H e, e) rather
+than ||I_H e||^2, so they hold for every self-adjoint I_H, the filter
+included.  `check_polarization_identity`, `check_gradient_monotonicity`
+and the viscous variant's `check_energy_identity_2b` read the same sums.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .observers import ObservationOperator
 from .solvers import SolveInfo, solve_cg
-from .spectral import SpectralVectorField, _readonly, coeff_dot, h1_seminorm, inner, l2_norm
+from .spectral import SpectralVectorField, _readonly, coeff_dot
 from .stepping import StepResult
 
 DEFAULT_CG_TOL = 1e-12
@@ -153,22 +155,112 @@ def _check_params(k: float, chi: float, tol: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# the general-operator update identity
+# the per-step record of a plain analysis step
 # ---------------------------------------------------------------------------
+
+OBS_ERROR_FLOOR = 1e-14  # below this ||I_H e||, strict error decrease is not required
 
 
 @dataclass(frozen=True)
-class FormBReport:
-    """Residual of the two-term update identity and the size of its tail.
+class AnalysisRecord:
+    """Norms, identity residuals and decrease verdict of one analysis step.
 
-    residual_rel : ||v - reconstruction|| / ||v||
-    correction_rel : ||(I_H - I_H^2) tail term|| / ||v||, zero exactly
-        for idempotent operators.
+    e = u - v and etilde = u - vtilde are the errors after and before the
+    step.  The residuals are relative (see the checkers below);
+    `gradient_rel` is NaN for an operator that does not commute with the
+    gradient (the cell average), and the form-B fields are NaN for a
+    record built from the errors alone.
     """
 
-    residual_rel: float
-    correction_rel: float
-    gain: float
+    err: float  # ||e||
+    err_tilde: float  # ||etilde||
+    grad_err: float  # ||grad e||
+    grad_err_tilde: float  # ||grad etilde||
+    polarization_rel: float
+    gradient_rel: float
+    residual_rel: float  # form B: ||v - reconstruction|| / ||v||
+    correction_rel: float  # ||(I_H - I_H^2) tail term|| / ||v||, zero for projections
+    decreased: bool | None  # ||e|| < ||etilde||; None while ||I_H e|| <= OBS_ERROR_FLOOR
+
+
+def _sums(grid, blocks) -> list[list[float]]:
+    """[||b||^2, ||grad b||^2] for each coefficient block b, then the same
+    two weighted sums of Re(I_H e conj e), where the blocks start with
+    e, etilde, e - etilde, I_H e.
+
+    Each product of (re, im) values fills one block-sized scratch, which two
+    small matrix products reduce: along ky against the mode multiplicity w
+    and w ky^2, then along kx against 1 and kx^2 (|k|^2 = kx^2 + ky^2).
+    """
+    w = np.repeat(grid.hermitian_weights[0], 2)
+    along_ky = np.stack([w, w * np.repeat(grid.ky[0] ** 2, 2)], axis=1)
+    along_kx = np.tile(np.stack([np.ones(grid.n), grid.kx[:, 0] ** 2]), 2)
+    scratch = np.empty((2 * grid.n, w.size))
+    parts = [np.ascontiguousarray(b, dtype=complex).view(np.float64) for b in blocks]
+
+    def weighted(a, b):
+        np.multiply(a.reshape(scratch.shape), b.reshape(scratch.shape), out=scratch)
+        m = along_kx @ (scratch @ along_ky)
+        return [m[0, 0], m[0, 1] + m[1, 0]]
+
+    rows = [weighted(x, x) for x in parts] + [weighted(parts[3], parts[0])]
+    return (grid.length**2 * np.array(rows)).tolist()
+
+
+def _ratio(num: float, denom: float) -> float:
+    """|num| / denom, with 0/0 = 0 and x/0 = inf."""
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return abs(num) / denom
+
+
+def _norm(square: float) -> float:
+    return math.sqrt(max(square, 0.0))
+
+
+def _record(e, etilde, op, k, chi, states=None) -> AnalysisRecord:
+    """The record from coefficient arrays; form B needs `states` = (vtilde, v).
+
+    One I_H e serves the polarization term, form B and the decrease test.
+    For a Fourier multiplier, (I_H grad e, grad e) is the |k|^2-weighted
+    sum of Re(I_H e conj e), so no gradient fields are formed.
+    """
+    kchi = k * chi
+    obs_e = op.apply_coeffs(e)
+    blocks = [e, etilde, e - etilde, obs_e]
+    if states is not None:
+        vtilde, v = states
+        gain = kchi / (1.0 + kchi)
+        tail = obs_e - op.apply_coeffs(obs_e)
+        tail *= kchi * gain
+        # v - (vtilde + g I_H etilde + tail), in place on the fresh I_H etilde
+        defect = op.apply_coeffs(etilde)
+        defect *= gain
+        defect += vtilde
+        defect += tail
+        blocks += [v, np.subtract(v, defect, out=defect), tail]
+    sums = _sums(op.grid, blocks)
+    (e2, ge2), (t2, gt2), (d2, gd2), (obs2, _) = sums[:4]
+    dot, grad_dot = sums[-1]
+    formb = [math.nan, math.nan]
+    if states is not None:
+        vnorm = math.sqrt(max(sums[4][0], 1e-300))
+        formb = [_norm(s[0]) / vnorm for s in sums[5:7]]
+    gradient = math.nan
+    if op.commutes_with_gradient:
+        gradient = _ratio(ge2 + gd2 + 2.0 * kchi * grad_dot - gt2, gt2)
+    err, err_tilde = _norm(e2), _norm(t2)
+    return AnalysisRecord(
+        err=err,
+        err_tilde=err_tilde,
+        grad_err=_norm(ge2),
+        grad_err_tilde=_norm(gt2),
+        polarization_rel=_ratio(0.5 * (e2 - t2 + d2) + kchi * dot, t2),
+        gradient_rel=gradient,
+        residual_rel=formb[0],
+        correction_rel=formb[1],
+        decreased=err < err_tilde if _norm(obs2) > OBS_ERROR_FLOOR else None,
+    )
 
 
 def verify_form_b(
@@ -178,31 +270,17 @@ def verify_form_b(
     op: ObservationOperator,
     k: float,
     chi: float,
-) -> FormBReport:
-    """Check v against  vtilde + g I_H(u - vtilde) + (k chi g)(I_H - I_H^2)(u - v).
+) -> AnalysisRecord:
+    """The full record of one plain analysis step, form B included.
 
-    Any solution of the analysis equation satisfies this identity with
+    Form B checks v against vtilde + g I_H(u - vtilde) + (k chi g)(I_H - I_H^2)(u - v):
+    any solution of the analysis equation satisfies this identity with
     g = k chi / (1 + k chi); it reduces to the explicit update when
     I_H^2 = I_H.
     """
     _check_params(k, chi)
-    kchi = k * chi
-    gain = kchi / (1.0 + kchi)
-    du_tilde = u.coeffs - vtilde.coeffs
-    du_v = u.coeffs - v.coeffs
-    once = op.apply_coeffs(du_v)
-    correction = (kchi * gain) * (once - op.apply_coeffs(once))
-    recon = vtilde.coeffs + gain * op.apply_coeffs(du_tilde) + correction
-    grid = v.grid
-    vnorm = math.sqrt(max(coeff_dot(grid, v.coeffs, v.coeffs), 1e-300))
-    resid = math.sqrt(max(coeff_dot(grid, v.coeffs - recon, v.coeffs - recon), 0.0))
-    corr = math.sqrt(max(coeff_dot(grid, correction, correction), 0.0))
-    return FormBReport(residual_rel=resid / vnorm, correction_rel=corr / vnorm, gain=gain)
-
-
-# ---------------------------------------------------------------------------
-# per-step identities of the analysis update
-# ---------------------------------------------------------------------------
+    e, etilde = u.coeffs - v.coeffs, u.coeffs - vtilde.coeffs
+    return _record(e, etilde, op, k, chi, (vtilde.coeffs, v.coeffs))
 
 
 def check_polarization_identity(
@@ -218,18 +296,10 @@ def check_polarization_identity(
         1/2 ||e||^2 - 1/2 ||etilde||^2 + 1/2 ||e - etilde||^2
             + k chi (I_H e, e) = 0,
     which in particular forces ||e|| < ||etilde|| whenever I_H is
-    positive and I_H e != 0.  Normalized by ||etilde||^2.
+    positive and I_H e != 0.  Normalized by ||etilde||^2 (0 when both
+    sides vanish, inf when only ||etilde|| does).
     """
-    lhs = (
-        0.5 * l2_norm(e) ** 2
-        - 0.5 * l2_norm(etilde) ** 2
-        + 0.5 * l2_norm(e - etilde) ** 2
-        + k * chi * inner(op.apply(e), e)
-    )
-    denom = l2_norm(etilde) ** 2
-    if denom == 0.0:
-        return 0.0 if abs(lhs) == 0.0 else float("inf")
-    return abs(lhs) / denom
+    return _record(e.coeffs, etilde.coeffs, op, k, chi).polarization_rel
 
 
 def check_gradient_monotonicity(
@@ -245,20 +315,11 @@ def check_gradient_monotonicity(
     mode-diagonal kinds); then
         ||grad e||^2 + ||grad(e - etilde)||^2
             + 2 k chi (I_H grad e, grad e) = ||grad etilde||^2.
-    Normalized by ||grad etilde||^2.  For the cell average this is
-    reported as a diagnostic, never asserted.
+    Normalized by ||grad etilde||^2 (0 when every term vanishes, inf
+    when only ||grad etilde|| does).  NaN for the cell average, which
+    does not commute with the gradient.
     """
-    grid = e.grid
-    ikx, iky = 1j * grid.kx, 1j * grid.ky
-    grad_e = np.stack([ikx * e.coeffs[0], iky * e.coeffs[0], ikx * e.coeffs[1], iky * e.coeffs[1]])
-    obs_grad = op.apply_coeffs(grad_e)
-    a = h1_seminorm(e) ** 2
-    b = h1_seminorm(e - etilde) ** 2
-    s = coeff_dot(grid, obs_grad, grad_e)
-    d = h1_seminorm(etilde) ** 2
-    if d == 0.0:
-        return 0.0 if a + b + s == 0.0 else float("inf")
-    return abs(a + b + 2.0 * k * chi * s - d) / d
+    return _record(e.coeffs, etilde.coeffs, op, k, chi).gradient_rel
 
 
 def check_energy_identity_2b(
@@ -275,18 +336,11 @@ def check_energy_identity_2b(
         + k nu ||grad(e - etilde)||^2 + 2 k chi (I_H e, e)
         = ||etilde||^2 + k nu ||grad etilde||^2.
     """
-    diff = e - etilde
-    lhs = (
-        l2_norm(e) ** 2
-        + k * nu * h1_seminorm(e) ** 2
-        + l2_norm(diff) ** 2
-        + k * nu * h1_seminorm(diff) ** 2
-        + 2.0 * k * chi * inner(op.apply(e), e)
-    )
-    rhs = l2_norm(etilde) ** 2 + k * nu * h1_seminorm(etilde) ** 2
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else float("inf")
-    return abs(lhs - rhs) / rhs
+    c, ct = e.coeffs, etilde.coeffs
+    sums = _sums(e.grid, [c, ct, c - ct, op.apply_coeffs(c)])
+    (e2, ge2), (t2, gt2), (d2, gd2), (dot, _) = sums[:3] + sums[-1:]
+    rhs = t2 + k * nu * gt2
+    return _ratio(e2 + k * nu * ge2 + d2 + k * nu * gd2 + 2.0 * k * chi * dot - rhs, rhs)
 
 
 # ---------------------------------------------------------------------------

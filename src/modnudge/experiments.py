@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import condlab
-from .assimilate import (
+# run_twin records each plain analysis step through `verify_form_b`; the
+# benchmark tracer times all three identity checkers under these names here.
+from .assimilate import (  # noqa: F401
     check_energy_identity_2b,
     check_gradient_monotonicity,
     check_polarization_identity,
@@ -58,9 +60,6 @@ from .stepping import (
     verify_momentum_residual,
 )
 
-OBS_ERROR_FLOOR = 1e-14  # below this, strict error decrease is not required
-
-
 # ---------------------------------------------------------------------------
 # one assimilation step, any scheme
 # ---------------------------------------------------------------------------
@@ -103,16 +102,6 @@ def advance(
     state.time = v.time
     state.velocity = v
     return vtilde
-
-
-def error_decreased(
-    e: SpectralVectorField, etilde: SpectralVectorField, op: ObservationOperator
-) -> bool | None:
-    """Whether an analysis step made ||e|| < ||etilde||; None while the observed
-    error ||I_H e|| is at most OBS_ERROR_FLOOR, where strict decrease is not required."""
-    if not l2_norm(op.apply(e)) > OBS_ERROR_FLOOR:
-        return None
-    return l2_norm(e) < l2_norm(etilde)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +342,16 @@ def run_twin(
             err = l2_norm(e)
             rels[var.name].append(err / u_norm)
             if var.scheme in PLAIN_SCHEMES and var.chi > 0:
-                etilde = u_next - vtilde
-                pol = check_polarization_identity(e, etilde, op, cfg.k, var.chi)
-                formb = verify_form_b(vtilde, v, u_next, op, cfg.k, var.chi).residual_rel
-                gm = (
-                    check_gradient_monotonicity(e, etilde, op, cfg.k, var.chi)
-                    if op.commutes_with_gradient
-                    else float("nan")
-                )
-                decreased = error_decreased(e, etilde, op)
-                if decreased is not None:
+                rec = verify_form_b(vtilde, v, u_next, op, cfg.k, var.chi)
+                if rec.decreased is not None:
                     decrease[var.name][0] += 1
-                    decrease[var.name][1] += not decreased
-                errtilde, grad_etilde = l2_norm(etilde), h1_seminorm(etilde)
+                    decrease[var.name][1] += not rec.decreased
+                row = (rec.err, rec.err_tilde, rec.grad_err, rec.grad_err_tilde,
+                       rec.polarization_rel, rec.residual_rel, rec.gradient_rel)
             else:
-                pol = formb = gm = float("nan")
-                errtilde, grad_etilde = err, h1_seminorm(e)
-            ledgers[var.name].append(
-                (cfg.n, state.time, err, errtilde, h1_seminorm(e), grad_etilde, pol, formb, gm)
-            )
+                grad_err = h1_seminorm(e)
+                row = (err, err, grad_err, grad_err, math.nan, math.nan, math.nan)
+            ledgers[var.name].append((cfg.n, state.time) + row)
         times.append(states[variants[0].name].time)
         truth_norms.append(u_norm)
         if progress is not None:
@@ -529,10 +509,9 @@ def error_decrease(rng: np.random.Generator, count: int) -> PropertyResult:
         op = _random_projection(grid, rng)
         vt, u = _random_pair(grid, rng)
         k, chi = _random_k_chi(rng, -2, 4)
-        v = step2a_explicit(vt, op.apply(u), op, k, chi).v
-        e, etilde = u - v, u - vt
-        worst = max(worst, check_polarization_identity(e, etilde, op, k, chi))
-        violations += error_decreased(e, etilde, op) is False
+        rec = verify_form_b(vt, step2a_explicit(vt, op.apply(u), op, k, chi).v, u, op, k, chi)
+        worst = max(worst, rec.polarization_rel)
+        violations += rec.decreased is False
     return PropertyResult(
         "error-decrease",
         worst <= 1e-11 and violations == 0,

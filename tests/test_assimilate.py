@@ -304,6 +304,149 @@ class TestIdentities:
         assert da.check_polarization_identity(e, etilde, op, 0.1, 50.0) < 1e-12
 
 
+OPERATORS = {
+    "spectral-projection": lambda g: obs.make_spectral_projection(g, 6),
+    "cell-average": lambda g: obs.make_cell_average(g, 8),
+    "differential-filter": lambda g: obs.make_differential_filter(g, 0.4),
+}
+
+
+def vector_mode(grid, kx, ky, amplitude=1.0):
+    c = single_mode_scalar(grid, kx, ky, amplitude).coeffs
+    return sp.SpectralVectorField.from_coeffs(grid, np.stack([c, 0.5 * c]))
+
+
+class TestAnalysisRecord:
+    """The record against the textbook definitions, written out field by field."""
+
+    @staticmethod
+    def textbook(vtilde, v, u, op, k, chi):
+        grid = u.grid
+        kchi = k * chi
+        e, etilde = u - v, u - vtilde
+        diff = e - etilde
+        pol_lhs = (0.5 * sp.l2_norm(e) ** 2 - 0.5 * sp.l2_norm(etilde) ** 2
+                   + 0.5 * sp.l2_norm(diff) ** 2 + kchi * sp.inner(op.apply(e), e))
+        grad_e = np.stack([1j * grid.kx * e.coeffs[0], 1j * grid.ky * e.coeffs[0],
+                           1j * grid.kx * e.coeffs[1], 1j * grid.ky * e.coeffs[1]])
+        grad_dot = sp.coeff_dot(grid, op.apply_coeffs(grad_e), grad_e)
+        grad_lhs = (sp.h1_seminorm(e) ** 2 + sp.h1_seminorm(diff) ** 2 + 2 * kchi * grad_dot
+                    - sp.h1_seminorm(etilde) ** 2)
+        gain = kchi / (1 + kchi)
+        once = op.apply(e)
+        tail = (kchi * gain) * (once - op.apply(once))
+        recon = vtilde + gain * op.apply(etilde) + tail
+        observed = sp.l2_norm(op.apply(e)) > da.OBS_ERROR_FLOOR
+        return dict(
+            err=sp.l2_norm(e),
+            err_tilde=sp.l2_norm(etilde),
+            grad_err=sp.h1_seminorm(e),
+            grad_err_tilde=sp.h1_seminorm(etilde),
+            polarization_rel=abs(pol_lhs) / sp.l2_norm(etilde) ** 2,
+            gradient_rel=abs(grad_lhs) / sp.h1_seminorm(etilde) ** 2,
+            residual_rel=sp.l2_norm(v - recon) / sp.l2_norm(v),
+            correction_rel=sp.l2_norm(tail) / sp.l2_norm(v),
+            decreased=sp.l2_norm(e) < sp.l2_norm(etilde) if observed else None,
+        )
+
+    @pytest.mark.parametrize("kind", sorted(OPERATORS))
+    def test_matches_textbook_on_random_fields(self, grid, kind):
+        # v is not the analysis of vtilde, so every residual is of order one
+        op = OPERATORS[kind](grid)
+        rng = np.random.default_rng(22)
+        verdicts = set()
+        for _ in range(10):
+            vtilde, u = random_pair(grid, rng)
+            v = sp.random_divfree_field(grid, rng, normalize=rng.uniform(0.2, 2.0))
+            k, chi = float(rng.uniform(0.01, 1.0)), float(10 ** rng.uniform(-1, 3))
+            rec = da.verify_form_b(vtilde, v, u, op, k, chi)
+            want = self.textbook(vtilde, v, u, op, k, chi)
+            if not op.commutes_with_gradient:
+                assert math.isnan(rec.gradient_rel)
+                del want["gradient_rel"]
+            for name, value in want.items():
+                if name == "decreased":
+                    assert rec.decreased is value
+                else:
+                    assert getattr(rec, name) == pytest.approx(value, rel=1e-13), name
+            e, etilde = u - v, u - vtilde
+            pol = da.check_polarization_identity(e, etilde, op, k, chi)
+            assert pol == pytest.approx(rec.polarization_rel, rel=1e-14)
+            gm = da.check_gradient_monotonicity(e, etilde, op, k, chi)
+            assert gm == pytest.approx(rec.gradient_rel, rel=1e-14, nan_ok=True)
+            verdicts.add(rec.decreased)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", sorted(OPERATORS))
+    def test_energy_identity_2b_matches_textbook(self, grid, kind):
+        op = OPERATORS[kind](grid)
+        rng = np.random.default_rng(23)
+        vtilde, u = random_pair(grid, rng)
+        v = 0.5 * sp.random_divfree_field(grid, rng)
+        k, chi, nu = 0.2, 30.0, 0.05
+        e, etilde = u - v, u - vtilde
+        diff = e - etilde
+        lhs = (sp.l2_norm(e) ** 2 + k * nu * sp.h1_seminorm(e) ** 2 + sp.l2_norm(diff) ** 2
+               + k * nu * sp.h1_seminorm(diff) ** 2 + 2 * k * chi * sp.inner(op.apply(e), e))
+        rhs = sp.l2_norm(etilde) ** 2 + k * nu * sp.h1_seminorm(etilde) ** 2
+        got = da.check_energy_identity_2b(e, etilde, op, k, chi, nu)
+        assert got == pytest.approx(abs(lhs - rhs) / rhs, rel=1e-13)
+
+    def test_applies_the_operator_three_times(self, grid):
+        # one I_H e for every term, then I_H^2 e and I_H etilde for form B
+        import unittest.mock as mock
+
+        op = obs.make_spectral_projection(grid, 4)
+        vtilde, u = random_pair(grid, np.random.default_rng(24))
+        v = da.step2a_explicit(vtilde, op.apply(u), op, 0.1, 10.0).v
+        calls = {"n": 0}
+        orig = obs.ObservationOperator.apply_coeffs
+
+        def counted(self, c):
+            calls["n"] += 1
+            return orig(self, c)
+
+        with mock.patch.object(obs.ObservationOperator, "apply_coeffs", counted):
+            da.verify_form_b(vtilde, v, u, op, 0.1, 10.0)
+        assert calls["n"] == 3
+
+    def test_unobserved_error_has_no_decrease_verdict(self, grid):
+        # e lives outside the observed band, so I_H e = 0 exactly
+        op = obs.make_spectral_projection(grid, 2)
+        vtilde, u = random_pair(grid, np.random.default_rng(25))
+        v = u - vector_mode(grid, 5, 3, 0.3 + 0.1j)
+        assert sp.l2_norm(op.apply(u - v)) == 0.0
+        rec = da.verify_form_b(vtilde, v, u, op, 0.1, 10.0)
+        assert rec.decreased is None
+        assert rec.err > 0
+
+    def test_cell_average_gradient_residual_is_nan(self, grid):
+        op = obs.make_cell_average(grid, 8)
+        vtilde, u = random_pair(grid, np.random.default_rng(26))
+        res = da.step2a_explicit(vtilde, op.apply(u), op, 0.1, 50.0)
+        rec = da.verify_form_b(vtilde, res.v, u, op, 0.1, 50.0)
+        assert math.isnan(rec.gradient_rel)
+        assert math.isnan(da.check_gradient_monotonicity(u - res.v, u - vtilde, op, 0.1, 50.0))
+        assert rec.polarization_rel < 1e-12 and rec.residual_rel < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(OPERATORS))
+    def test_zero_denominator_conventions(self, grid, kind):
+        # 0 when every term vanishes, inf when only the normalizing norm does
+        op = OPERATORS[kind](grid)
+        zero = sp.SpectralVectorField.zero(grid)
+        e = vector_mode(grid, 1, 2)
+        assert da.check_polarization_identity(zero, zero, op, 0.1, 5.0) == 0.0
+        assert da.check_polarization_identity(e, zero, op, 0.1, 5.0) == math.inf
+        assert da.check_energy_identity_2b(zero, zero, op, 0.1, 5.0, 0.1) == 0.0
+        assert da.check_energy_identity_2b(e, zero, op, 0.1, 5.0, 0.1) == math.inf
+        if op.commutes_with_gradient:
+            assert da.check_gradient_monotonicity(zero, zero, op, 0.1, 5.0) == 0.0
+            assert da.check_gradient_monotonicity(e, zero, op, 0.1, 5.0) == math.inf
+        rec = da.verify_form_b(zero, zero, zero, op, 0.1, 5.0)
+        assert (rec.residual_rel, rec.correction_rel, rec.polarization_rel) == (0.0, 0.0, 0.0)
+        assert rec.decreased is None
+
+
 class TestHypotheses:
     def test_margin_arithmetic(self, grid):
         op = obs.make_spectral_projection(grid, 8)  # H = pi/8
