@@ -156,6 +156,8 @@ def cmd_horizon(args) -> int:
             raise ValueError(f"variants {missing} not present in {args.series}")
         series_by_name = {v: series_by_name[v] for v in args.variant}
     epsilons = _parse_float_list(args.epsilons)
+    if not epsilons:
+        raise ValueError(f"--epsilons {args.epsilons!r}: need at least one threshold")
     rows = []
     for name, series in series_by_name.items():
         windows = (
@@ -181,7 +183,7 @@ def cmd_condlab(args) -> int:
     cfg = _load(args, "twin")
     outdir = resolve_outdir(cfg.outdir)
     rows = condlab.condition_sweep(
-        cfg.fem_n, cfg.fem_m, cfg.fem_kind, cfg.kchi_list, method=args.method, seed=cfg.seed
+        cfg.fem_n, cfg.fem_m, cfg.fem_kind, cfg.kchi_list, seed=cfg.seed
     )
     fileio.write_condlab_csv(outdir / "condlab.csv", rows)
     for r in rows:
@@ -259,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condlab", help="1D FEM conditioning sweep of the implicit analysis step")
     _add_common(p)
-    p.add_argument(
-        "--method",
-        default="lanczos",
-        choices=("lanczos", "dense"),
-        help="extreme-eigenvalue engine (default lanczos)",
-    )
     p.set_defaults(func=cmd_condlab)
 
     p = sub.add_parser("props", help="run every identity/property suite; nonzero exit on failure")

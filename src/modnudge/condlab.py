@@ -14,12 +14,14 @@ block MH^{-1} B^T, and, through the Sherman-Morrison-Woodbury identity,
 a small coarse-sized Cholesky factor that applies the reduced inverse.
 With those it applies the reduced operator and its inverse without an
 inner iteration, estimates the condition number, and compares the
-implicit solve (a CG on the reduced operator) to the closed-form gain
-update -- which is exact precisely when the coarse space is nested in
-the fine one, so the composed projection is idempotent.
+implicit solve (the factored inverse applied to the analysis right
+side) to the closed-form gain update -- which is exact precisely when
+the coarse space is nested in the fine one, so the composed projection
+is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
-space.  Dimensions stay desk-scale so a dense eigenvalue oracle can
+space; a mesh is its sorted node array, its elements the gaps between
+nodes.  Dimensions stay desk-scale so a dense eigenvalue oracle can
 sit next to every iterative estimate.
 """
 
@@ -33,63 +35,28 @@ import scipy.sparse as sparse
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .solvers import solve_cg
+from .solvers import solve_cg  # noqa: F401  (the benchmark tracer wraps condlab.solve_cg)
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
 MAX_DIMENSION = 5000
+_LANCZOS_TOL = 1e-8  # eigsh relative accuracy of each extreme eigenvalue
 
 _GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
-@dataclass(frozen=True)
-class Mesh1D:
-    """Sorted node set on [0, 1]; elements are the gaps between nodes."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("mesh needs at least two nodes")
-        if not (nodes[0] == 0.0 and nodes[-1] == 1.0):
-            raise ValueError("mesh must span [0, 1]")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-
-    @classmethod
-    def uniform(cls, n: int) -> "Mesh1D":
-        if n < 2:
-            raise ValueError("need at least two elements")
-        return cls(np.linspace(0.0, 1.0, n + 1))
-
-    @property
-    def n_elements(self) -> int:
-        return self.nodes.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def is_uniform(self) -> bool:
-        w = self.widths
-        return bool(np.max(np.abs(w - w[0])) <= 1e-12 * w[0])
-
-
-def _p1_mass(mesh: Mesh1D) -> sparse.csr_array:
+def _p1_mass(nodes: np.ndarray) -> sparse.csr_array:
     """Mass matrix of the zero-boundary P1 space (interior nodes only).
 
     Interior node i sits between elements i and i + 1, which add h/3 each
     to its diagonal entry; element i + 1 alone couples nodes i and i + 1.
     """
-    w = mesh.widths
+    w = np.diff(nodes)
     diag = w[:-1] / 3.0 + w[1:] / 3.0
     off = w[1:-1] / 6.0
     return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
 
 
-def _coupling(fine: Mesh1D, coarse: Mesh1D, kind: str) -> np.ndarray:
+def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
     """B_ij = (phi_i^fine, phi_j^coarse), exact two-point Gauss quadrature.
 
     Integrands are piecewise quadratics on the union of the two meshes'
@@ -98,27 +65,27 @@ def _coupling(fine: Mesh1D, coarse: Mesh1D, kind: str) -> np.ndarray:
     every product of the local basis functions there, piece by piece in
     increasing x.
     """
-    nf = fine.n_elements - 1
-    cuts = np.union1d(fine.nodes, coarse.nodes)
+    nf = fine.size - 2
+    cuts = np.union1d(fine, coarse)
     lo, hi = cuts[:-1], cuts[1:]
     xs = lo[:, None] + (hi - lo)[:, None] * np.asarray(_GAUSS_NODES)  # (pieces, 2)
     mid = 0.5 * (lo + hi)
 
-    def local_hats(mesh):
+    def local_hats(nodes):
         """Dof indices (pieces, 2) and values (pieces, 2, gauss) of the two
         hats on each piece's element: its left node falling, its right rising."""
-        e = np.searchsorted(mesh.nodes, mid) - 1
-        xl, xr = mesh.nodes[e][:, None], mesh.nodes[e + 1][:, None]
+        e = np.searchsorted(nodes, mid) - 1
+        xl, xr = nodes[e][:, None], nodes[e + 1][:, None]
         values = np.stack([(xr - xs) / (xr - xl), (xs - xl) / (xr - xl)], axis=1)
         return np.stack([e - 1, e], axis=1), values
 
     rows, phi = local_hats(fine)
     if kind == "nested-linear":
-        nc = coarse.n_elements - 1
+        nc = coarse.size - 2
         cols, psi = local_hats(coarse)
     else:  # piecewise-constant: one indicator per coarse cell
-        nc = coarse.n_elements
-        cols = (np.searchsorted(coarse.nodes, mid) - 1)[:, None]
+        nc = coarse.size - 1
+        cols = (np.searchsorted(coarse, mid) - 1)[:, None]
         psi = np.ones((lo.size, 1, 2))
     # (pieces, fine hat, coarse function): half width times the Gauss sum
     vals = 0.5 * (hi - lo)[:, None, None] * (
@@ -144,9 +111,6 @@ def _banded_cholesky(m: sparse.csr_array) -> np.ndarray:
 class FemOperatorSet:
     """Assembled pieces of the reduced analysis system on [0, 1]."""
 
-    fine: Mesh1D
-    coarse: Mesh1D
-    coarse_kind: str
     k_chi: float
     mh: sparse.csr_array
     mH: sparse.csr_array
@@ -193,15 +157,15 @@ def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperator
         raise ValueError("k_chi must be nonnegative")
     if fine_n - 1 > MAX_DIMENSION:
         raise ValueError(f"fine dimension capped at {MAX_DIMENSION}")
-    fine = Mesh1D.uniform(fine_n)
-    coarse = Mesh1D.uniform(coarse_m)
+    fine = np.linspace(0.0, 1.0, fine_n + 1)
+    coarse = np.linspace(0.0, 1.0, coarse_m + 1)
     mh = _p1_mass(fine)
     if kind == "nested-linear":
         mH = _p1_mass(coarse)
     else:
-        mH = sparse.diags_array([coarse.widths], offsets=[0]).tocsr()
+        mH = sparse.diags_array([np.diff(coarse)], offsets=[0]).tocsr()
     b = _coupling(fine, coarse, kind)
-    return FemOperatorSet(fine, coarse, kind, k_chi, mh, mH, b)
+    return FemOperatorSet(k_chi, mh, mH, b)
 
 
 def reduced_apply(ops: FemOperatorSet, c: np.ndarray) -> np.ndarray:
@@ -224,13 +188,8 @@ def reduced_solve(ops: FemOperatorSet, x: np.ndarray) -> np.ndarray:
     return y - ops.k_chi * (ops.mh_inv_b @ cho_solve(ops.woodbury, ops.b.T @ y))
 
 
-def solve_step2_fem(
-    ops: FemOperatorSet,
-    vtilde: np.ndarray,
-    obs: np.ndarray,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Outer CG for the analysis update in fine coefficients.
+def solve_step2_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """The implicit analysis update in fine coefficients, by `reduced_solve`.
 
     `obs` holds the fine coefficients of the truth; its observation
     enters through the same coupling as the unknown.
@@ -238,8 +197,7 @@ def solve_step2_fem(
     rhs = ops.mh @ vtilde
     if ops.k_chi != 0.0:
         rhs = rhs + ops.k_chi * (ops.b @ ops.coarse_solve(ops.b.T @ obs))
-    v, _ = solve_cg(lambda x: reduced_apply(ops, x), rhs, x0=vtilde.copy(), tol=tol, maxiter=5000)
-    return v
+    return reduced_solve(ops, rhs)
 
 
 def project_to_coarse_and_back(ops: FemOperatorSet, w: np.ndarray) -> np.ndarray:
@@ -286,7 +244,6 @@ def mass_norm(ops: FemOperatorSet, c: np.ndarray) -> float:
 class ConditionEstimate:
     lam_max: float
     lam_min: float
-    method: str
 
     @property
     def cond(self) -> float:
@@ -306,31 +263,16 @@ def dense_matrix(ops: FemOperatorSet) -> np.ndarray:
 
 def dense_condition(ops: FemOperatorSet) -> ConditionEstimate:
     vals = np.linalg.eigvalsh(dense_matrix(ops))
-    return ConditionEstimate(float(vals[-1]), float(vals[0]), "dense")
+    return ConditionEstimate(float(vals[-1]), float(vals[0]))
 
 
-def estimate_condition(
-    ops: FemOperatorSet,
-    method: str = "lanczos",
-    tol: float = 1e-6,
-) -> ConditionEstimate:
+def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
-    `lanczos` (the default) takes the largest eigenvalue directly and the
-    smallest as the inverse of the largest eigenvalue of `reduced_solve`,
-    the factored inverse.  `dense` is the eigvalsh oracle of
-    `dense_condition`, for desk-scale systems only.
+    Lanczos takes the largest eigenvalue directly and the smallest as the
+    inverse of the largest eigenvalue of `reduced_solve`, the factored
+    inverse.  `dense_condition` is the oracle for desk-scale systems.
     """
-    if ops.dim > MAX_DIMENSION:
-        raise ValueError(f"dimension {ops.dim} exceeds the {MAX_DIMENSION} cap")
-    if method == "lanczos":
-        return _condition_lanczos(ops, tol)
-    if method == "dense":
-        return dense_condition(ops)
-    raise ValueError("method must be 'lanczos' or 'dense'")
-
-
-def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
     n = ops.dim
     fwd = LinearOperator((n, n), matvec=lambda x: reduced_apply(ops, x), dtype=float)
     inv = LinearOperator((n, n), matvec=lambda x: reduced_solve(ops, x), dtype=float)
@@ -338,11 +280,11 @@ def _condition_lanczos(ops: FemOperatorSet, tol: float) -> ConditionEstimate:
     # a fixed start vector: ARPACK's own random start makes the estimate
     # (and condlab.csv) differ between processes in the last digits
     v0 = np.random.default_rng(0).standard_normal(n)
-    lam_max = float(eigsh(fwd, k=1, which="LA", tol=tol * 1e-2, ncv=ncv, v0=v0,
+    lam_max = float(eigsh(fwd, k=1, which="LA", tol=_LANCZOS_TOL, ncv=ncv, v0=v0,
                           return_eigenvectors=False)[0])
-    inv_max = float(eigsh(inv, k=1, which="LA", tol=tol * 1e-2, ncv=ncv, v0=v0,
+    inv_max = float(eigsh(inv, k=1, which="LA", tol=_LANCZOS_TOL, ncv=ncv, v0=v0,
                           return_eigenvectors=False)[0])
-    return ConditionEstimate(lam_max, 1.0 / inv_max, "lanczos")
+    return ConditionEstimate(lam_max, 1.0 / inv_max)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +308,13 @@ def condition_sweep(
     coarse_m: int,
     kind: str,
     k_chi_values,
-    method: str = "lanczos",
     seed: int = 0,
 ) -> list[SweepRow]:
     rows = []
     rng = np.random.default_rng(seed)
     for k_chi in k_chi_values:
         ops = assemble(fine_n, coarse_m, kind, float(k_chi))
-        est = estimate_condition(ops, method=method)
+        est = estimate_condition(ops)
         vtilde = rng.standard_normal(ops.dim)
         obs = rng.standard_normal(ops.dim)
         v_imp = solve_step2_fem(ops, vtilde, obs)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .condlab import COARSE_KINDS
-from .observers import KINDS
+from .observers import make_operator
+from .spectral import get_grid
 from .stepping import SchemeConfig, check_scheme_operator
 
 OUTDIR_ENV = "MODNUDGE_OUTDIR"
@@ -64,14 +65,14 @@ class RunConfig:
     def __post_init__(self):
         SchemeConfig(k=self.k, nu=self.nu, chi=self.chi, scheme=self.scheme,
                      solver_tol=self.solver_tol)
-        if self.operator not in KINDS:
-            raise ValueError(f"unknown operator {self.operator!r}; choose from {KINDS}")
-        check_scheme_operator(self.scheme, self.operator)
         if self.n < 4 or self.n % 2:
             raise ValueError("grid size n must be even and at least 4")
-        for name in ("T", "operator_scale", "forcing_amplitude"):
+        for name in ("T", "forcing_amplitude"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # the operator itself checks the kind, the scale and that cells divide n
+        make_operator(get_grid(self.n), self.operator, self.operator_scale)
+        check_scheme_operator(self.scheme, self.operator)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         steps = round(self.T / self.k)

@@ -175,7 +175,12 @@ def make_differential_filter(grid: TorusGrid, h: float) -> ObservationOperator:
 
 
 def make_operator(grid: TorusGrid, kind: str, scale: float) -> ObservationOperator:
-    """Factory from (kind, scale) as they appear in run configs."""
+    """Factory from (kind, scale) as they appear in run configs.
+
+    The projections count modes or cells, so their scale must be whole.
+    """
+    if kind in IDEMPOTENT_KINDS and not float(scale).is_integer():
+        raise ValueError(f"{kind} needs a whole-number operator_scale, got {scale!r}")
     if kind == SPECTRAL_PROJECTION:
         return make_spectral_projection(grid, int(scale))
     if kind == CELL_AVERAGE:

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import modnudge
-from modnudge.cli import main
+from modnudge.cli import build_parser, main
 
 TINY_TWIN = [
     "--set", "n=32", "--set", "nu=1e-2", "--set", "k=0.02", "--set", "T=0.2",
@@ -112,6 +114,15 @@ class TestHorizon:
         assert float(row[1]) == pytest.approx(0.04)
         assert float(row[2]) == pytest.approx(0.16)
 
+    def test_empty_epsilon_list_returns_2(self, tmp_path, capsys):
+        series = tmp_path / "twin_errors.csv"
+        series.write_text("variant,t,rel_err\nchi-0,0,0.5\nchi-0,0.1,0.6\nchi-0,0.2,0.7\n")
+        rc = main(["horizon", "--series", str(series), "--windows", "0:0.2",
+                   "--epsilons", "", "--outdir", str(tmp_path / "h")])
+        assert rc == 2
+        assert "--epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "h" / "horizons.csv").exists()
+
     def test_unknown_variant_fails(self, tmp_path, capsys):
         assert run_twin_cli(tmp_path) == 0
         rc = main(["horizon", "--series", str(tmp_path / "twin_errors.csv"),
@@ -134,17 +145,12 @@ class TestCondlab:
         assert max(ratios) / min(ratios) < 5.0
         assert (tmp_path / "plot_condlab_nested-linear.dat").exists()
 
-    def test_dense_method_matches_lanczos(self, tmp_path):
-        for method, sub in (("lanczos", "l"), ("dense", "d")):
-            rc = main([
-                "condlab", "--outdir", str(tmp_path / sub), "--method", method,
-                "--set", "fem_n=48", "--set", "fem_m=6", "--set", "kchi_list=10",
-            ])
-            assert rc == 0
-        get = lambda sub: float(
-            (tmp_path / sub / "condlab.csv").read_text().splitlines()[1].split(",")[4]
-        )
-        assert get("l") == pytest.approx(get("d"), rel=1e-5)
+    def test_default_nested_sweep_deviation_is_roundoff(self, tmp_path):
+        # nested spaces make the implicit update equal the explicit one
+        assert main(["condlab", "--outdir", str(tmp_path)]) == 0
+        rows = (tmp_path / "condlab.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["nested-linear"] * 5
+        assert max(float(row.split(",")[6]) for row in rows) <= 1e-12
 
     def test_reruns_write_identical_csv(self, tmp_path):
         for sub in ("a", "b"):
@@ -205,6 +211,16 @@ class TestErrors:
         assert "window 0.008:0.012" in err and "k=0.01" in err
         assert not (tmp_path / "twin_errors.csv").exists()
 
+    @pytest.mark.parametrize("sets,message", [
+        (["operator_scale=8.7"], "whole-number"),
+        (["operator=cell-average", "operator_scale=7"], "must divide"),
+    ], ids=["fractional-scale", "cells-not-dividing-n"])
+    def test_unusable_operator_scale_fails_before_stepping(self, tmp_path, capsys, sets, message):
+        extra = [arg for pair in sets for arg in ("--set", pair)]
+        assert run_twin_cli(tmp_path, extra) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "twin_errors.csv").exists()
+
     def test_empty_chi_list_returns_2(self, tmp_path, capsys):
         rc = main(["twin", "--no-alternates", "--outdir", str(tmp_path), "--set", "n=16",
                    "--set", "operator_scale=4", "--set", "T=0.1", "--set", "chi_list="])
@@ -231,3 +247,24 @@ class TestErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert "all hard property suites passed" in proc.stdout
+
+
+def test_readme_synopsis_lists_every_option():
+    """The README's "Command line" block names exactly each subcommand's options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        head = re.match(r"modnudge (\w+)", line)
+        if head:
+            command = head.group(1)
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {opt for a in sub._actions for opt in a.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == defined

@@ -8,19 +8,8 @@ import pytest
 from modnudge import condlab as cl
 
 
-class TestMesh:
-    def test_uniform_nodes(self):
-        mesh = cl.Mesh1D.uniform(4)
-        assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert mesh.is_uniform
-
-    def test_rejects_bad_span(self):
-        with pytest.raises(ValueError, match="span"):
-            cl.Mesh1D(np.array([0.0, 0.5, 0.9]))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="increasing"):
-            cl.Mesh1D(np.array([0.0, 0.6, 0.4, 1.0]))
+def _uniform(n):
+    return np.linspace(0.0, 1.0, n + 1)
 
 
 def _coupling_oracle(fine_n, coarse_m, kind):
@@ -76,14 +65,14 @@ class TestAssembly:
         (50, 7, "piecewise-constant"), (20, 20, "nested-linear"),
     ])
     def test_coupling_matches_the_composite_gauss_oracle(self, n, m, kind):
-        b = cl._coupling(cl.Mesh1D.uniform(n), cl.Mesh1D.uniform(m), kind)
+        b = cl._coupling(_uniform(n), _uniform(m), kind)
         want = _coupling_oracle(n, m, kind)
         assert b.shape == want.shape
         assert np.max(np.abs(b - want)) < 1e-15
 
     def test_piecewise_constant_rows_sum_to_hat_integrals_on_a_non_dividing_mesh(self):
         n = 200
-        b = cl._coupling(cl.Mesh1D.uniform(n), cl.Mesh1D.uniform(7), "piecewise-constant")
+        b = cl._coupling(_uniform(n), _uniform(7), "piecewise-constant")
         assert np.max(np.abs(b.sum(axis=1) - 1.0 / n)) < 1e-16
 
     def test_p1_mass_on_a_non_uniform_mesh_is_the_element_sum(self):
@@ -91,7 +80,7 @@ class TestAssembly:
         want = np.zeros((nodes.size, nodes.size))
         for e, h in enumerate(np.diff(nodes)):  # element mass h/6 [[2, 1], [1, 2]]
             want[e:e + 2, e:e + 2] += [[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]
-        got = cl._p1_mass(cl.Mesh1D(nodes)).toarray()
+        got = cl._p1_mass(nodes).toarray()
         assert np.array_equal(got, want[1:-1, 1:-1])
 
     def test_coarse_mass_kinds(self):
@@ -176,15 +165,13 @@ class TestAnalysisSolve:
         assert np.max(np.abs(v - vt)) < 1e-11
 
     def test_nested_solve_equals_gain_formula(self):
-        # exact identity; the solve tolerance is tightened so CG noise
-        # (which scales with cond ~ k chi) stays under the assertion
         rng = np.random.default_rng(5)
         for k_chi in (1.0, 25.0, 1e3):
             ops = cl.assemble(64, 8, "nested-linear", k_chi)
             vt, u = rng.standard_normal((2, ops.dim))
-            vi = cl.solve_step2_fem(ops, vt, u, tol=1e-13)
+            vi = cl.solve_step2_fem(ops, vt, u)
             ve = cl.explicit_update_fem(ops, vt, u)
-            assert cl.mass_norm(ops, vi - ve) < 1e-10
+            assert cl.mass_norm(ops, vi - ve) <= 1e-12
 
     def test_non_nested_solve_deviates(self):
         rng = np.random.default_rng(6)
@@ -243,15 +230,15 @@ class TestConditioning:
 
     def test_lanczos_matches_dense_oracle(self):
         ops = cl.assemble(100, 10, "nested-linear", 100.0)
-        lz = cl.estimate_condition(ops, method="lanczos")
+        lz = cl.estimate_condition(ops)
         dn = cl.dense_condition(ops)
         assert abs(lz.cond - dn.cond) / dn.cond < 1e-6
 
     def test_lanczos_estimate_is_reproducible(self):
         # a fixed start vector: repeated estimates agree to the last bit
         ops = cl.assemble(100, 10, "nested-linear", 100.0)
-        first = cl.estimate_condition(ops, method="lanczos")
-        again = cl.estimate_condition(ops, method="lanczos")
+        first = cl.estimate_condition(ops)
+        again = cl.estimate_condition(ops)
         assert (first.lam_max, first.lam_min) == (again.lam_max, again.lam_min)
 
     def test_growth_tracks_the_gain_linearly(self):
@@ -264,8 +251,3 @@ class TestConditioning:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             cl.assemble(6000, 10, "piecewise-constant", 1.0)
-
-    def test_unknown_method(self):
-        ops = cl.assemble(16, 4, "nested-linear", 1.0)
-        with pytest.raises(ValueError, match="lanczos"):
-            cl.estimate_condition(ops, method="qr")

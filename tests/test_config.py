@@ -91,6 +91,17 @@ class TestValidation:
                         operator_scale=0.5)
         assert cfg.operator == "differential-filter"
 
+    @pytest.mark.parametrize("kind,scale,message", [
+        ("spectral-projection", 8.7, "whole-number"),
+        ("cell-average", 16.9, "whole-number"),
+        ("cell-average", 7.0, "must divide"),
+        ("spectral-projection", 0.0, "at least 1"),
+        ("differential-filter", -1.0, "positive"),
+    ])
+    def test_operator_scale_must_suit_the_operator(self, kind, scale, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(n=64, scheme="2a-implicit", operator=kind, operator_scale=scale)
+
     def test_horizon_must_be_step_multiple(self):
         with pytest.raises(ValueError, match="integer number of steps"):
             RunConfig(k=0.3, T=1.0)
