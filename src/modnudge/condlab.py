@@ -146,17 +146,27 @@ class FemOperatorSet:
         return cho_solve_banded((self.mh_chol, False), rhs)
 
 
-def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperatorSet:
+def check_mesh(fine_n: int, coarse_m: int, kind: str):
+    """Refuse a mesh pair that `assemble` cannot build, before any work."""
     if kind not in COARSE_KINDS:
-        raise ValueError(f"coarse kind must be one of {COARSE_KINDS}")
-    if coarse_m > fine_n:
-        raise ValueError("coarse mesh cannot be finer than the fine mesh")
+        raise ValueError(f"coarse kind must be one of {COARSE_KINDS}, got {kind!r}")
+    if not 2 <= coarse_m <= fine_n:
+        raise ValueError(
+            f"need fine elements >= coarse elements >= 2, got fem_n={fine_n}, fem_m={coarse_m}"
+        )
     if kind == "nested-linear" and fine_n % coarse_m != 0:
-        raise ValueError("nested coarse space needs the fine element count to be a multiple")
+        raise ValueError(
+            "nested coarse space needs the fine element count to be a multiple of the "
+            f"coarse one, got fem_n={fine_n}, fem_m={coarse_m}"
+        )
+    if fine_n - 1 > MAX_DIMENSION:
+        raise ValueError(f"fine dimension capped at {MAX_DIMENSION}, got fem_n={fine_n}")
+
+
+def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperatorSet:
+    check_mesh(fine_n, coarse_m, kind)
     if k_chi < 0:
         raise ValueError("k_chi must be nonnegative")
-    if fine_n - 1 > MAX_DIMENSION:
-        raise ValueError(f"fine dimension capped at {MAX_DIMENSION}")
     fine = np.linspace(0.0, 1.0, fine_n + 1)
     coarse = np.linspace(0.0, 1.0, coarse_m + 1)
     mh = _p1_mass(fine)

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .condlab import COARSE_KINDS
+from .condlab import check_mesh
 from .observers import make_operator
 from .spectral import get_grid
 from .stepping import SchemeConfig, check_scheme_operator
@@ -95,10 +95,7 @@ class RunConfig:
                 raise ValueError(f"window {win} must be an increasing (start, end) pair")
             if win[0] < 0 or win[1] > self.T + 1e-9:
                 raise ValueError(f"window {win} must lie inside [0, T]")
-        if self.fem_kind not in COARSE_KINDS:
-            raise ValueError(f"unknown fem_kind {self.fem_kind!r}; choose from {COARSE_KINDS}")
-        if self.fem_m < 2 or self.fem_n < self.fem_m:
-            raise ValueError("need fem_n >= fem_m >= 2")
+        check_mesh(self.fem_n, self.fem_m, self.fem_kind)
         if not self.kchi_list or any(v < 0 for v in self.kchi_list):
             raise ValueError("kchi_list entries must be nonnegative")
 

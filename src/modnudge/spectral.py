@@ -20,9 +20,21 @@ advection operation uses the skew-symmetric average
     advect(a, w) = 1/2 [ (a . grad) w + div(a (x) w) ],
 
 whose discrete energy pairing (advect(a, w), w) vanishes to roundoff by
-construction.  A divergence-form shortcut is provided for solver inner
-loops where the advecting field is exactly divergence-free; the two
-paths agree to machine precision and a test pins that down.
+construction.
+
+Solver inner loops need only the projected term P div(a (x) w): the
+gradient P removes is the pressure.  In 2D a zero-mean divergence-free
+field is fixed by its curl, one scalar per mode, so `_advect_div_coeffs`
+forms
+
+    curl N = -kx^2 F(a1 w2) + ky^2 F(a2 w1) - kx ky F(a2 w2 - a1 w1),
+    P N    = (i ky, -i kx) curl N / |k|^2,
+
+from three product transforms, for any a and w.  It works on the block
+of ky columns 0..(n-1)//3 that holds the 2/3 band: `to_values` of a
+narrower coefficient block and `to_coeffs(..., band=True)` run their kx
+pass on those columns only.  For divergence-free a it equals the
+Leray projection of the skew form to roundoff, and tests pin that down.
 """
 
 from __future__ import annotations
@@ -121,10 +133,30 @@ class TorusGrid:
         return _readonly(m)
 
     @cached_property
-    def dealiased_ik(self) -> np.ndarray:
-        """(i kx, i ky) on the 2/3 band, zero outside; shape (2, n, n//2+1)."""
-        m = self.dealias_mask
-        return _readonly(np.stack([1j * self.kx * m, 1j * self.ky * m]))
+    def band_width(self) -> int:
+        """Number of ky columns, 0..dealias_cutoff, that hold the 2/3 band."""
+        return self.dealias_cutoff + 1
+
+    @cached_property
+    def band_rows(self) -> np.ndarray:
+        """1 on the kx rows of the 2/3 band, 0 elsewhere; shape (n, 1)."""
+        return _readonly((np.abs(self.kx_int) <= self.dealias_cutoff)[:, None].astype(float))
+
+    @cached_property
+    def curl_weights(self) -> np.ndarray:
+        """Weights of F(a1 w2), F(a2 w1), F(a2 w2 - a1 w1) in curl div(a (x) w)
+        on the band block: -kx^2, ky^2, -kx ky, zero outside the band;
+        shape (3, n, band_width)."""
+        m, kx, ky = self.band_rows, self.kx, self.ky[:, : self.band_width]
+        return _readonly(np.stack(np.broadcast_arrays(-kx * kx * m, ky * ky * m, -kx * ky * m)))
+
+    @cached_property
+    def curl_inverse(self) -> np.ndarray:
+        """(i ky, -i kx) / |k|^2 on the band block, zero at k = 0: the
+        zero-mean divergence-free field with a given curl."""
+        b = self.band_width
+        inv_k2 = self.inv_k2[:, :b]
+        return _readonly(np.stack([1j * self.ky[:, :b] * inv_k2, -1j * self.kx * inv_k2]))
 
     @cached_property
     def hermitian_weights(self) -> np.ndarray:
@@ -143,12 +175,27 @@ class TorusGrid:
 
     # -- transforms ------------------------------------------------------
 
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Grid values -> normalized half-spectrum coefficients."""
-        return sfft.rfft2(np.asarray(values, dtype=float), axes=(-2, -1), norm="forward")
+    def to_coeffs(self, values: np.ndarray, band: bool = False) -> np.ndarray:
+        """Grid values -> normalized half-spectrum coefficients.
+
+        With `band`, only the ky columns 0..dealias_cutoff are returned,
+        and the kx pass runs on those columns alone.
+        """
+        values = np.asarray(values, dtype=float)
+        if band:
+            half = sfft.rfft(values, axis=-1, norm="forward")[..., : self.band_width]
+            return sfft.fft(half, axis=-2, norm="forward", overwrite_x=True)
+        return sfft.rfft2(values, axes=(-2, -1), norm="forward")
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Normalized half-spectrum coefficients -> grid values."""
+        """Normalized half-spectrum coefficients -> grid values.
+
+        Absent ky columns read as zeros; a block narrower than n//2+1
+        columns runs its kx pass on the given columns only.
+        """
+        if coeffs.shape[-1] < self.n // 2 + 1:
+            half = sfft.ifft(coeffs, axis=-2, norm="forward")
+            return sfft.irfft(half, n=self.n, axis=-1, norm="forward", overwrite_x=True)
         return sfft.irfft2(coeffs, axes=(-2, -1), s=(self.n, self.n), norm="forward")
 
 
@@ -387,20 +434,28 @@ def _advect_skew_coeffs(g: TorusGrid, ac: np.ndarray, wc: np.ndarray) -> np.ndar
 
 
 def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """Divergence-form advection div(a (x) w) from precomputed grid values of a.
+    """P div(a (x) w) on the band block, from precomputed grid values of a.
 
-    Solver fast path:  when div a = 0 exactly (band-limited coefficients
-    with vanishing divergence) this equals the skew form to roundoff at
-    a third of the transforms.  `a_values` must come from band-limited
-    coefficients; `wc` is truncated here.
+    Returns the block of ky columns 0..dealias_cutoff, shape
+    (2, n, band_width), zero on the kx rows outside the 2/3 band; every
+    later column of the result is zero.  `a_values` must come from
+    band-limited coefficients; `wc` is truncated here and need be
+    neither band-limited nor divergence free.  The projected field is
+    rebuilt from its curl, which takes three product transforms.
     """
-    W = g.to_values(wc * g.dealias_mask)
-    prods = np.empty((2,) + a_values.shape)  # [[a1 W1, a2 W1], [a1 W2, a2 W2]]
-    np.multiply(a_values, W[0], out=prods[0])
-    np.multiply(a_values, W[1], out=prods[1])
-    ph = g.to_coeffs(prods)
-    np.multiply(g.dealiased_ik, ph, out=ph)  # d_x (a1 W_j), d_y (a2 W_j), band-limited
-    return ph[:, 0] + ph[:, 1]
+    b = g.band_width
+    W = g.to_values(wc[..., :b] * g.band_rows)
+    prods = np.empty((3,) + a_values.shape[1:])  # a1 w2, a2 w1, a2 w2 - a1 w1
+    np.multiply(a_values[0], W[1], out=prods[0])
+    np.multiply(a_values[1], W[0], out=prods[1])
+    np.multiply(a_values[1], W[1], out=prods[2])
+    np.multiply(a_values[0], W[0], out=W[0])
+    np.subtract(prods[2], W[0], out=prods[2])
+    ph = g.to_coeffs(prods, band=True)
+    np.multiply(g.curl_weights, ph, out=ph)
+    curl = ph[0] + ph[1]
+    curl += ph[2]
+    return g.curl_inverse * curl
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ backward-Euler step with the advecting velocity frozen at the old time,
 
 so each step is one nonsymmetric linear solve (restarted GMRES with the
 diagonal preconditioner (1/k + nu |k|^2)^{-1}).  The Leray projector P
-stands in for the pressure gradient.  `step_standard_nudging` fuses the
+stands in for the pressure gradient.  In the operator it is part of the
+advection kernel, which returns P div(a (x) w) on the 2/3 band from its
+curl, so an application is one kernel call added into the diagonal
+term; the right-hand sides and the nudging term chi P I_H w are
+projected on their own.  `step_standard_nudging` fuses the
 relaxation term chi I_H (u - v) into the same solve; the modular
 schemes instead call `step1_forecast` and then one of the analysis
 updates from `assimilate`.
@@ -176,23 +180,23 @@ def _momentum_operator(
     nu: float,
     nudge: tuple[ObservationOperator, float] | None = None,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The Step-1 operator  w -> (1/k - nu lap) w + P advect(a, w) [+ chi P I_H w]
-    on coefficient arrays, and its diagonal preconditioner."""
-    a_vals = grid.to_values(advecting.coeffs * grid.dealias_mask)
+    """The Step-1 operator  w -> (1/k - nu lap) w + P div(a (x) w) [+ chi P I_H w]
+    on coefficient arrays, and its diagonal preconditioner.  The advection
+    term lives on the ky columns of the 2/3 band and is added there."""
+    band = grid.band_width
+    a_vals = grid.to_values(advecting.coeffs[..., :band] * grid.band_rows)
     diag = 1.0 / k + nu * grid.k2
     pdiag = diag
     if nudge is not None:
         op, chi = nudge
         pdiag = op.shifted_diagonal(diag, chi)
 
-        def apply_op(c):
-            out = diag * c + _leray_coeffs(grid, _advect_div_coeffs(grid, a_vals, c))
-            return out + chi * _leray_coeffs(grid, op.apply_coeffs(c))
-
-    else:
-
-        def apply_op(c):
-            return diag * c + _leray_coeffs(grid, _advect_div_coeffs(grid, a_vals, c))
+    def apply_op(c):
+        out = diag * c
+        out[..., :band] += _advect_div_coeffs(grid, a_vals, c)
+        if nudge is not None:
+            out += chi * _leray_coeffs(grid, op.apply_coeffs(c))
+        return out
 
     inv_diag = 1.0 / pdiag
     return apply_op, lambda r: inv_diag * r

@@ -5,6 +5,7 @@ fails the test suite instead of a traced benchmark run.  Only reads perfbench/.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from modnudge import assimilate, condlab, experiments as ex, observers, stepping
@@ -69,6 +70,10 @@ def test_tracer_and_step_clock_reach_every_layer_and_restore():
     for name in ("stepping.truth_substep", "solvers.cg", "assimilate.analysis.2a-implicit"):
         assert all(isinstance(v, int) and v > 0 for v in values[name]), name
     assert values["assimilate.analysis.2a-explicit"] == [0] * cfg.steps
+    # the advection kernel reaches its transforms through the grid: one each way
+    ffts = Counter(s[3] for s in tracer.spans if s[0] == "spectral.fft")
+    advects = [i for i, s in enumerate(tracer.spans) if s[0] == "spectral.advect"]
+    assert all(ffts[i] == 2 for i in advects)
 
     # every plain-variant step is recorded through a hooked identity checker
     plain = sum(v.scheme in ex.PLAIN_SCHEMES and v.chi > 0 for v in variants)

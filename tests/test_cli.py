@@ -145,6 +145,17 @@ class TestCondlab:
         assert max(ratios) / min(ratios) < 5.0
         assert (tmp_path / "plot_condlab_nested-linear.dat").exists()
 
+    def test_mesh_the_sweep_cannot_assemble_exits_2_before_any_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 256 fine elements do not nest 7 coarse ones; refused while the
+        # config is read, before the output directory exists
+        monkeypatch.delenv("MODNUDGE_OUTDIR", raising=False)
+        outdir = tmp_path / "out"
+        assert main(["condlab", "--outdir", str(outdir), "--set", "fem_m=7"]) == 2
+        assert "multiple" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_default_nested_sweep_deviation_is_roundoff(self, tmp_path):
         # nested spaces make the implicit update equal the explicit one
         assert main(["condlab", "--outdir", str(tmp_path)]) == 0

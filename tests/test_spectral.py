@@ -18,6 +18,13 @@ from spectral_helpers import curl, mode_coefficient, single_mode_scalar
 TWO_PI = 2.0 * math.pi
 
 
+def projected_advection(g, a_values, wc):
+    """The kernel's band block placed in a full coefficient array."""
+    out = np.zeros((2,) + g.coeff_shape, dtype=complex)
+    out[..., : g.band_width] = sp._advect_div_coeffs(g, a_values, wc)
+    return out
+
+
 def exact_swirl(grid, t):
     """u(x, y, t) = e^t (cos y, sin x): divergence-free, single-mode pair."""
     X, Y = grid.mesh
@@ -65,6 +72,27 @@ class TestTransforms:
         # and the reconstruction is genuinely real
         w = sp.ScalarField.from_grid(g, f.values)
         assert np.max(np.abs(w.coeffs - f.coeffs)) < 1e-13
+
+    @pytest.mark.parametrize("n", [32, 48, 64, 128])
+    def test_band_transforms_match_the_full_transforms_on_the_band(self, n):
+        # bitwise on power-of-two grids, where the 1/n scalings are exact
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(n)
+        b = g.band_width
+        vals = rng.standard_normal((3, n, n))
+        block = rng.standard_normal((2, n, b)) + 1j * rng.standard_normal((2, n, b))
+        padded = np.zeros((2,) + g.coeff_shape, dtype=complex)
+        padded[..., :b] = block
+        pairs = [
+            (g.to_coeffs(vals, band=True), sfft.rfft2(vals, norm="forward")[..., :b]),
+            (g.to_values(block), sfft.irfft2(padded, s=(n, n), norm="forward")),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            if n & (n - 1) == 0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_from_grid_values_round_trip_is_exact(self):
         g = sp.get_grid(16)
@@ -231,26 +259,57 @@ class TestAdvect:
         a = sp.random_divfree_field(g, rng, normalize=3.0)
         w = sp.random_divfree_field(g, rng, normalize=1.0)
         ac = a.coeffs * g.dealias_mask
-        skew = sp._advect_skew_coeffs(g, ac, w.coeffs * g.dealias_mask)
-        fast = sp._advect_div_coeffs(g, g.to_values(ac), w.coeffs)
+        skew = sp._leray_coeffs(g, sp._advect_skew_coeffs(g, ac, w.coeffs * g.dealias_mask))
+        fast = projected_advection(g, g.to_values(ac), w.coeffs)
         assert np.max(np.abs(skew - fast)) < 1e-13 * max(np.max(np.abs(skew)), 1e-30)
 
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", [32, 48, 64, 128])
     def test_divergence_form_kernel_equals_the_plain_formula(self, n):
-        # the fused kernel reorders no arithmetic: on power-of-two grids
-        # (where the 1/n^2 transform scaling is exact) it matches the
-        # textbook composition of scipy transforms to the last bit
+        # the curl-form kernel against the Leray projection of the textbook
+        # four-product divergence form, built from full scipy transforms;
+        # w is a raw coefficient array, neither band-limited nor divergence
+        # free, as the vectors GMRES applies the operator to are
         g = sp.get_grid(n)
         rng = np.random.default_rng(n)
         a = sp.random_divfree_field(g, rng, normalize=3.0)
-        w = sp.random_divfree_field(g, rng, kmax=g.n // 2 - 1)
+        shape = (2,) + g.coeff_shape
+        wc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         a_vals = g.to_values(a.coeffs * g.dealias_mask)
-        W1, W2 = sfft.irfft2(w.coeffs * g.dealias_mask * n**2, s=(n, n))
+        W1, W2 = sfft.irfft2(wc * g.dealias_mask, s=(n, n), norm="forward")
         prods = np.stack([a_vals[0] * W1, a_vals[1] * W1, a_vals[0] * W2, a_vals[1] * W2])
-        ph = sfft.rfft2(prods) / n**2
+        ph = sfft.rfft2(prods, norm="forward")
         ikx, iky = 1j * g.kx, 1j * g.ky
         plain = np.stack([ikx * ph[0] + iky * ph[1], ikx * ph[2] + iky * ph[3]]) * g.dealias_mask
-        assert np.array_equal(sp._advect_div_coeffs(g, a_vals, w.coeffs), plain)
+        want = sp._leray_coeffs(g, plain)
+        got = projected_advection(g, a_vals, wc)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_projected_kernel_is_band_limited_and_divergence_free(self, n):
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(n + 1)
+        a = sp.random_divfree_field(g, rng, normalize=2.0)
+        shape = (2,) + g.coeff_shape
+        wc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a_vals = g.to_values(a.coeffs * g.dealias_mask)
+        assert sp._advect_div_coeffs(g, a_vals, wc).shape == (2, n, g.band_width)
+        out = projected_advection(g, a_vals, wc)
+        assert np.all(out[:, ~g.dealias_mask] == 0)
+        div = g.kx * out[0] + g.ky * out[1]
+        assert np.max(np.abs(div)) <= 1e-14 * np.max(np.sqrt(g.k2) * np.abs(out))
+
+    def test_projected_kernel_is_energy_neutral(self):
+        # (P div(a (x) w), w) = (div(a (x) w), w) = 0 for band-limited
+        # divergence-free a and w: the 2/3 rule keeps the pairing exact
+        g = sp.get_grid(48)
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            a = sp.random_divfree_field(g, rng, normalize=2.0)
+            w = sp.random_divfree_field(g, rng, normalize=1.5)
+            out = projected_advection(g, g.to_values(a.coeffs), w.coeffs)
+            pairing = sp.coeff_dot(g, out, w.coeffs)
+            scale = sp.l2_norm(a) * sp.h1_seminorm(w) * sp.l2_norm(w)
+            assert abs(pairing) < 1e-15 * scale
 
     def test_output_confined_to_dealias_band(self):
         g = sp.get_grid(24)
