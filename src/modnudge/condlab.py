@@ -13,16 +13,18 @@ assembly: banded Cholesky factors of Mh and MH, the coarse-by-fine
 block MH^{-1} B^T, and, through the Sherman-Morrison-Woodbury identity,
 a small coarse-sized Cholesky factor that applies the reduced inverse.
 With those it applies the reduced operator and its inverse without an
-inner iteration, estimates the condition number, and compares the
-implicit solve (the factored inverse applied to the analysis right
-side) to the closed-form gain update -- which is exact precisely when
-the coarse space is nested in the fine one, so the composed projection
-is idempotent.
+inner iteration, takes the condition number from the extreme
+eigenvalues of the reduced matrix (assembled densely from the same
+factored pieces, one LAPACK call), and compares the implicit solve (the
+factored inverse applied to the analysis right side) to the closed-form
+gain update -- which is exact precisely when the coarse space is nested
+in the fine one, so the composed projection is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space; a mesh is its sorted node array, its elements the gaps between
-nodes.  Dimensions stay desk-scale so a dense eigenvalue oracle can
-sit next to every iterative estimate.
+nodes.  Dimensions stay desk-scale (at most MAX_DIMENSION fine
+unknowns), so the dense eigenvalue problem fits in memory, and a second
+dense oracle, built another way, checks it on small systems.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, eigvalsh
 
 from .solvers import solve_cg  # noqa: F401  (the benchmark tracer wraps condlab.solve_cg)
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
 MAX_DIMENSION = 5000
-_LANCZOS_TOL = 1e-8  # eigsh relative accuracy of each extreme eigenvalue
 
 _GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
@@ -279,22 +279,24 @@ def dense_condition(ops: FemOperatorSet) -> ConditionEstimate:
 def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
-    Lanczos takes the largest eigenvalue directly and the smallest as the
-    inverse of the largest eigenvalue of `reduced_solve`, the factored
-    inverse.  `dense_condition` is the oracle for desk-scale systems.
+    S = Mh + k_chi B MH^{-1} B^T is built densely from the factored pieces
+    `reduced_apply` uses, in one n x n buffer, and LAPACK's symmetric
+    eigenvalue solver (scipy's `eigvalsh`, MRRR) returns its spectrum, exact
+    to roundoff.  `dense_condition` is the independently built oracle for
+    desk-scale systems.
     """
     n = ops.dim
-    fwd = LinearOperator((n, n), matvec=lambda x: reduced_apply(ops, x), dtype=float)
-    inv = LinearOperator((n, n), matvec=lambda x: reduced_solve(ops, x), dtype=float)
-    ncv = min(n, 64)
-    # a fixed start vector: ARPACK's own random start makes the estimate
-    # (and condlab.csv) differ between processes in the last digits
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam_max = float(eigsh(fwd, k=1, which="LA", tol=_LANCZOS_TOL, ncv=ncv, v0=v0,
-                          return_eigenvectors=False)[0])
-    inv_max = float(eigsh(inv, k=1, which="LA", tol=_LANCZOS_TOL, ncv=ncv, v0=v0,
-                          return_eigenvectors=False)[0])
-    return ConditionEstimate(lam_max, 1.0 / inv_max)
+    s = ops.b @ ops.mH_inv_bt
+    s *= ops.k_chi
+    s.flat[:: n + 1] += ops.mh.diagonal()
+    off = ops.mh.diagonal(1)
+    s.flat[1 :: n + 1] += off
+    s.flat[n :: n + 1] += off
+    # S is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK overwrites in place rather than copying; its pieces passed
+    # the finiteness checks of the factorizations, so no n x n scan either
+    vals = eigvalsh(s.T, overwrite_a=True, check_finite=False)
+    return ConditionEstimate(float(vals[-1]), float(vals[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The benchmark tracer (perfbench/tracer.py) wraps package attributes by name.
 
-It is installed here on a tiny twin run, so that a renamed or bypassed hook
-fails the test suite instead of a traced benchmark run.  Only reads perfbench/.
+It is installed here on a tiny twin run and a tiny condlab sweep, so that a
+renamed or bypassed hook fails the test suite instead of a traced benchmark
+run.  Only reads perfbench/.
 """
 
 import importlib.util
@@ -33,6 +34,12 @@ def hooked_attributes():
         "apply_coeffs": observers.ObservationOperator.apply_coeffs,
         "assemble": condlab.assemble,
     }
+
+
+def condlab_attributes():
+    names = ("assemble", "estimate_condition", "solve_step2_fem", "reduced_apply", "solve_cg",
+             "condition_sweep")
+    return {name: getattr(condlab, name) for name in names}
 
 
 def test_tracer_and_step_clock_reach_every_layer_and_restore():
@@ -80,3 +87,25 @@ def test_tracer_and_step_clock_reach_every_layer_and_restore():
     for step, (t0, t1) in enumerate(zip(clock.marks, clock.marks[1:]), start=1):
         spans = [s for s in tracer.spans if s[0] == "assimilate.identity" and t0 <= s[1] < t1]
         assert len(spans) >= plain, f"step {step}: {len(spans)} identity spans"
+
+
+def test_tracer_and_step_clock_time_each_condlab_point_and_restore():
+    tracer_module = load_tracer()
+    k_chi = [1, 100]
+    before = condlab_attributes()
+    patches = tracer_module.Patches()
+    tracer, clock, results = tracer_module.Tracer(), tracer_module.StepClock(), []
+    try:
+        tracer.install(patches, {})
+        clock.install(patches, "condlab", results)
+        condlab.condition_sweep(16, 4, "nested-linear", k_chi)
+    finally:
+        patches.restore()
+    assert condlab_attributes() == before
+
+    # one mark per assemble, the first of each point, and one at the end
+    assert clock.completed() == len(k_chi) and [len(r) for r in results] == [len(k_chi)]
+    for point, (t0, t1) in enumerate(zip(clock.marks, clock.marks[1:]), start=1):
+        spans = Counter(s[0] for s in tracer.spans if t0 <= s[1] < t1)
+        for name in ("condlab.assemble", "condlab.estimate_condition", "condlab.solve_step2"):
+            assert spans[name] == 1, f"point {point}: {spans[name]} {name} spans"
