@@ -25,18 +25,23 @@ space; a mesh is its sorted node array, its elements the gaps between
 nodes.  Dimensions stay desk-scale (at most MAX_DIMENSION fine
 unknowns), so the dense eigenvalue problem fits in memory, and a second
 dense oracle, built another way, checks it on small systems.
+
+scipy's sparse and LAPACK layers load on the first assembly, not on
+import: the twin subcommands import this module but never assemble.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, eigvalsh
 
 from .solvers import solve_cg  # noqa: F401  (the benchmark tracer wraps condlab.solve_cg)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
 MAX_DIMENSION = 5000
@@ -50,10 +55,12 @@ def _p1_mass(nodes: np.ndarray) -> sparse.csr_array:
     Interior node i sits between elements i and i + 1, which add h/3 each
     to its diagonal entry; element i + 1 alone couples nodes i and i + 1.
     """
+    from scipy.sparse import diags_array
+
     w = np.diff(nodes)
     diag = w[:-1] / 3.0 + w[1:] / 3.0
     off = w[1:-1] / 6.0
-    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
+    return diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
 
 
 def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
@@ -101,6 +108,8 @@ def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
 
 def _banded_cholesky(m: sparse.csr_array) -> np.ndarray:
     """Upper banded Cholesky factor of a symmetric tridiagonal (or diagonal) matrix."""
+    from scipy.linalg import cholesky_banded
+
     ab = np.zeros((2, m.shape[0]))
     ab[0, 1:] = m.diagonal(1)
     ab[1] = m.diagonal()
@@ -124,6 +133,8 @@ class FemOperatorSet:
     woodbury: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.linalg import cho_factor
+
         self.mh_chol = _banded_cholesky(self.mh)
         self.mH_chol = _banded_cholesky(self.mH)
         self.mH_inv_bt = self.coarse_solve(self.b.T)
@@ -139,10 +150,14 @@ class FemOperatorSet:
 
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
         """MH^{-1} rhs from the banded Cholesky factor."""
+        from scipy.linalg import cho_solve_banded
+
         return cho_solve_banded((self.mH_chol, False), rhs)
 
     def fine_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Mh^{-1} rhs from the banded Cholesky factor."""
+        from scipy.linalg import cho_solve_banded
+
         return cho_solve_banded((self.mh_chol, False), rhs)
 
 
@@ -173,7 +188,9 @@ def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperator
     if kind == "nested-linear":
         mH = _p1_mass(coarse)
     else:
-        mH = sparse.diags_array([np.diff(coarse)], offsets=[0]).tocsr()
+        from scipy.sparse import diags_array
+
+        mH = diags_array([np.diff(coarse)], offsets=[0]).tocsr()
     b = _coupling(fine, coarse, kind)
     return FemOperatorSet(k_chi, mh, mH, b)
 
@@ -192,6 +209,8 @@ def reduced_solve(ops: FemOperatorSet, x: np.ndarray) -> np.ndarray:
     S^{-1} x = Mh^{-1} x - k_chi Mh^{-1} B K^{-1} B^T Mh^{-1} x with the
     coarse-sized K = MH + k_chi B^T Mh^{-1} B, whose factor `assemble` keeps.
     """
+    from scipy.linalg import cho_solve
+
     y = ops.fine_solve(x)
     if ops.k_chi == 0.0:
         return y
@@ -285,6 +304,8 @@ def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
     to roundoff.  `dense_condition` is the independently built oracle for
     desk-scale systems.
     """
+    from scipy.linalg import eigvalsh
+
     n = ops.dim
     s = ops.b @ ops.mH_inv_bt
     s *= ops.k_chi

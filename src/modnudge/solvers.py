@@ -12,11 +12,12 @@ Two workhorses:
   GMRES runs in real arithmetic on the float64 view of the arrays.  It
   follows scipy's `gmres` (1.17) step for step -- inner test on the
   preconditioned residual with the gh-8400 adaptive tolerance, modified
-  Gram-Schmidt, LAPACK Givens rotations -- so iterates and iteration
-  counts match it bit for bit, without its wrapper layer.  `tol` is
-  relative to ||b|| and is tested on the true residual b - A x that
-  closes every restart cycle; that residual is what SolveInfo reports,
-  and `maxiter` bounds the total number of operator applications.
+  Gram-Schmidt, Givens rotations by LAPACK's `dlartg` formula in float
+  arithmetic -- so iterates and iteration counts match it bit for bit,
+  without its wrapper layer.  `tol` is relative to ||b|| and is tested
+  on the true residual b - A x that closes every restart cycle; that
+  residual is what SolveInfo reports, and `maxiter` bounds the total
+  number of operator applications.
 
 Failures raise KrylovError rather than returning best-effort iterates:
 a silent half-converged solve would poison every identity downstream.
@@ -24,11 +25,11 @@ a silent half-converged solve would poison every identity downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
 
 
 class KrylovError(RuntimeError):
@@ -42,6 +43,38 @@ class KrylovError(RuntimeError):
     def located(self, where: str) -> "KrylovError":
         """The same failure with `where` (run, step, time) put in front."""
         return KrylovError(f"{where}: {self}", self.residual, self.iterations)
+
+
+# dlartg's scaling thresholds: safmin = 2^-1022, safmax = 1/safmin
+_SAFMIN = 2.0**-1022
+_SAFMAX = 2.0**1022
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 2)
+
+
+def givens_rotation(f: float, g: float) -> tuple[float, float, float]:
+    """(c, s, r) with [c s; -s c] (f, g) = (r, 0).
+
+    LAPACK's `dlartg.f90` as OpenBLAS 0.3.30 (scipy 1.17) ships it --
+    c = |f|/d, s = g/r, with the unscaled branch only for |f|, |g| in
+    (sqrt(safmin), sqrt(safmax/2)) -- operation for operation in Python
+    floats, so it equals scipy's `lapack.dlartg` bit for bit.
+    """
+    f1, g1 = abs(f), abs(g)
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), g1
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    # scaled so that the squares neither overflow nor underflow
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
 
 
 @dataclass
@@ -196,7 +229,7 @@ def solve_gmres(
             for k, (c, s) in enumerate(givens):
                 n0, n1 = hc[k], hc[k + 1]
                 hc[k], hc[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, mag = dlartg(hc[col], hc[col + 1])
+            c, s, mag = givens_rotation(hc[col], hc[col + 1])
             givens.append((c, s))
             hc[col], hc[col + 1] = mag, 0.0
             h[col, : col + 2] = hc

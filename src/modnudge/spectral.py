@@ -9,7 +9,10 @@ normalized so that
 
 which makes the coefficients coincide with the analytic Fourier series
 of the field.  Real-valuedness is structural: the missing half of the
-spectrum is implied by Hermitian symmetry.
+spectrum is implied by Hermitian symmetry.  The transforms are
+`numpy.fft` calls (numpy >= 2 ships the same pocketfft as scipy), laid
+out so that they reproduce `scipy.fft` bit for bit; a test holds them
+to that.
 
 Nonlinear terms follow the 2/3 rule: inputs are truncated to the square
 band |k|_inf <= (n-1)//3 (in integer wavenumbers), products are formed on
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,9 +185,14 @@ class TorusGrid:
         """
         values = np.asarray(values, dtype=float)
         if band:
-            half = sfft.rfft(values, axis=-1, norm="forward")[..., : self.band_width]
-            return sfft.fft(half, axis=-2, norm="forward", overwrite_x=True)
-        return sfft.rfft2(values, axes=(-2, -1), norm="forward")
+            half = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.band_width]
+            return np.fft.fft(half, axis=-2, norm="forward", out=half)
+        # one 1/n^2 after the ky pass, as pocketfft's 2D transform scales;
+        # 1/n per pass rounds differently when n is not a power of two
+        half = np.fft.rfft(values, axis=-1)
+        parts = half.view(np.float64)
+        parts *= 1.0 / (self.n * self.n)
+        return np.fft.fft(half, axis=-2, out=half)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Normalized half-spectrum coefficients -> grid values.
@@ -194,9 +201,9 @@ class TorusGrid:
         columns runs its kx pass on the given columns only.
         """
         if coeffs.shape[-1] < self.n // 2 + 1:
-            half = sfft.ifft(coeffs, axis=-2, norm="forward")
-            return sfft.irfft(half, n=self.n, axis=-1, norm="forward", overwrite_x=True)
-        return sfft.irfft2(coeffs, axes=(-2, -1), s=(self.n, self.n), norm="forward")
+            half = np.fft.ifft(coeffs, axis=-2, norm="forward")
+            return np.fft.irfft(half, n=self.n, axis=-1, norm="forward")
+        return np.fft.irfft2(coeffs, axes=(-2, -1), s=(self.n, self.n), norm="forward")
 
 
 @lru_cache(maxsize=None)

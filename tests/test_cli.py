@@ -260,6 +260,43 @@ class TestErrors:
         assert "all hard property suites passed" in proc.stdout
 
 
+# run in a fresh interpreter: twin, converge and horizon load no scipy, and
+# condlab loads scipy.linalg on its first assembly
+IMPORT_GUARD = """
+import sys
+from modnudge import cli, condlab
+
+out, tiny_twin = sys.argv[1], sys.argv[2:]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["twin", "--outdir", out + "/twin", *tiny_twin]) == 0
+assert cli.main(["twin", "--outdir", out + "/cellavg", *tiny_twin, "--set", "scheme=2a-implicit",
+                 "--set", "operator=cell-average", "--set", "operator_scale=8"]) == 0
+assert cli.main(["horizon", "--series", out + "/twin/twin_errors.csv", "--windows", "0.04:0.16",
+                 "--outdir", out + "/horizon"]) == 0
+assert cli.main(["converge", "--outdir", out + "/converge", "--set", "n=16", "--set", "k=0.2",
+                 "--set", "k_list=0.2,0.1", "--set", "T=0.4", "--set", "chi=100",
+                 "--set", "operator_scale=4"]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["condlab", "--outdir", out + "/condlab", "--set", "fem_n=16",
+                 "--set", "fem_m=4", "--set", "kchi_list=1"]) == 0
+assert "scipy.linalg" in sys.modules
+print("import guard ok")
+"""
+
+
+def test_only_condlab_loads_scipy(tmp_path):
+    src = str(Path(modnudge.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path), *TINY_TWIN],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "import guard ok" in proc.stdout
+
+
 def test_readme_synopsis_lists_every_option():
     """The README's "Command line" block names exactly each subcommand's options."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -3,12 +3,13 @@ bit-for-bit agreement of the in-house GMRES with scipy's."""
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dlartg
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
-from modnudge.solvers import KrylovError, solve_cg, solve_gmres
+from modnudge.solvers import KrylovError, givens_rotation, solve_cg, solve_gmres
 
 
 def spd_matrix(rng, n):
@@ -254,3 +255,43 @@ def test_gmres_matches_scipy_on_the_fused_cell_average_solve():
         precondition=precondition,
     )
     assert 20 < info.iterations < 64  # one cycle
+
+
+# -- the Givens rotation against LAPACK's dlartg --------------------------
+
+
+def _givens_pairs():
+    rng = np.random.default_rng(12)
+    m = 20000
+    f = rng.standard_normal(m) * 10.0 ** rng.uniform(-12, 12, m)
+    g = rng.standard_normal(m) * 10.0 ** rng.uniform(-12, 12, m)
+    pairs = list(zip(f.tolist(), g.tolist()))
+    # a signed zero in either slot, against every sign of the other
+    for z in (0.0, -0.0):
+        for x in (2.5, -2.5, 0.0, -0.0):
+            pairs += [(z, x), (x, z)]
+    # every sign combination, unscaled and scaled
+    for a, b in ((3.0, 4.0), (1e-200, 3e-201), (1e200, 7e199)):
+        pairs += [(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)]
+    # magnitudes near safmin and safmax, and between sqrt(safmax/2) and
+    # sqrt(safmax), where only the bound of the unscaled branch decides
+    tiny = 2.0 ** rng.uniform(-1074, -480, 2000)
+    huge = 2.0 ** rng.uniform(480, 1023, 2000)
+    edge = 2.0 ** rng.uniform(510.5, 511.0, 2000)
+    signs = rng.choice([-1.0, 1.0], (3, 2000, 2))
+    for mags, sgn in zip((tiny, huge, edge), signs):
+        other = rng.permutation(mags) * 2.0 ** rng.uniform(-8, 0, mags.size)
+        pairs += list(zip((sgn[:, 0] * mags).tolist(), (sgn[:, 1] * other).tolist()))
+        pairs += list(zip((sgn[:, 1] * other).tolist(), (sgn[:, 0] * mags).tolist()))
+    pairs += [(1e-160, 1e-160), (1e160, -1e160), (-1e-300, 1e300), (2.0**-1022, 2.0**1023)]
+    return pairs
+
+
+def test_givens_rotation_equals_lapack_dlartg_bit_for_bit():
+    pairs = _givens_pairs()
+    mismatched = [
+        (f, g)
+        for f, g in pairs
+        if np.array(givens_rotation(f, g)).tobytes() != np.array(dlartg(f, g)).tobytes()
+    ]
+    assert not mismatched, f"{len(mismatched)} of {len(pairs)} pairs differ, e.g. {mismatched[:3]}"

@@ -94,6 +94,34 @@ class TestTransforms:
             else:
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_transforms_equal_scipy_fft_bit_for_bit(self, n):
+        # the numpy.fft passes against the scipy.fft calls they replaced:
+        # a numpy whose FFT rounds differently fails here instead of
+        # silently moving every trajectory
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(n + 2)
+        b = g.band_width
+        vals = rng.standard_normal((3, n, n))
+        shape = (2,) + g.coeff_shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = coeffs[..., :b]
+        band_half = sfft.rfft(vals, axis=-1, norm="forward")[..., :b]
+        pairs = [
+            (g.to_coeffs(vals), sfft.rfft2(vals, norm="forward")),
+            (g.to_coeffs(vals[0]), sfft.rfft2(vals[0], norm="forward")),
+            (g.to_coeffs(vals, band=True), sfft.fft(band_half, axis=-2, norm="forward")),
+            (g.to_values(coeffs), sfft.irfft2(coeffs, s=(n, n), norm="forward")),
+            (g.to_values(coeffs[0]), sfft.irfft2(coeffs[0], s=(n, n), norm="forward")),
+            (
+                g.to_values(block),
+                sfft.irfft(sfft.ifft(block, axis=-2, norm="forward"), n=n, norm="forward"),
+            ),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_from_grid_values_round_trip_is_exact(self):
         g = sp.get_grid(16)
         rng = np.random.default_rng(7)
