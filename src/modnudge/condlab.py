@@ -8,40 +8,37 @@ projection onto a coarse space, reduces to the Schur-style SPD system
 
 where Mh, MH are the fine/coarse mass matrices and B couples the two
 bases.  This module assembles those operators exactly (two-point Gauss
-on the union of element breakpoints) and factors them once per
-assembly: banded Cholesky factors of Mh and MH, the coarse-by-fine
-block MH^{-1} B^T, and, through the Sherman-Morrison-Woodbury identity,
-a small coarse-sized Cholesky factor that applies the reduced inverse.
-With those it applies the reduced operator and its inverse without an
-inner iteration, takes the condition number from the extreme
-eigenvalues of the reduced matrix (assembled densely from the same
-factored pieces, one LAPACK call), and compares the implicit solve (the
-factored inverse applied to the analysis right side) to the closed-form
-gain update -- which is exact precisely when the coarse space is nested
-in the fine one, so the composed projection is idempotent.
+on the union of element breakpoints).  On the uniform meshes it builds,
+both mass matrices are diagonal in the discrete sine basis, so their
+solves are sine transforms (FFTs of the odd extension) around a
+division by known eigenvalues.  Once per assembly it keeps the
+coarse-by-fine block MH^{-1} B^T, the fine-by-coarse block Mh^{-1} B
+and, through the Sherman-Morrison-Woodbury identity, a small
+coarse-sized matrix whose solve applies the reduced inverse.  With
+those it applies the reduced operator and its inverse without an inner
+iteration, takes the condition number from the extreme eigenvalues of
+the reduced matrix (assembled densely from the same pieces, one LAPACK
+call), and compares the implicit solve (the reduced inverse applied to
+the analysis right side) to the closed-form gain update -- which is
+exact precisely when the coarse space is nested in the fine one, so the
+composed projection is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space; a mesh is its sorted node array, its elements the gaps between
 nodes.  Dimensions stay desk-scale (at most MAX_DIMENSION fine
 unknowns), so the dense eigenvalue problem fits in memory, and a second
-dense oracle, built another way, checks it on small systems.
-
-scipy's sparse and LAPACK layers load on the first assembly, not on
-import: the twin subcommands import this module but never assemble.
+dense oracle, built another way, checks it on small systems.  numpy is
+the only dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .solvers import solve_cg  # noqa: F401  (the benchmark tracer wraps condlab.solve_cg)
-
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
 
 COARSE_KINDS = ("nested-linear", "piecewise-constant")
 MAX_DIMENSION = 5000
@@ -49,18 +46,69 @@ MAX_DIMENSION = 5000
 _GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
-def _p1_mass(nodes: np.ndarray) -> sparse.csr_array:
-    """Mass matrix of the zero-boundary P1 space (interior nodes only).
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """-2 times the DST-I along axis 0, -2 sum_j x_j sin(pi j k / (n + 1)) for
+    j, k = 1..n: the imaginary part of the FFT of the odd extension
+    [0, x, 0, -reversed x], laid out so that each column's transform runs
+    over contiguous memory."""
+    n = x.shape[0]
+    odd = np.zeros((*x.shape[1:], 2 * n + 2))
+    odd[..., 1 : n + 1] = x.T
+    np.negative(x.T[..., ::-1], out=odd[..., n + 2 :])
+    return np.fft.rfft(odd).imag[..., 1 : n + 1].T
 
-    Interior node i sits between elements i and i + 1, which add h/3 each
-    to its diagonal entry; element i + 1 alone couples nodes i and i + 1.
+
+@dataclass(frozen=True)
+class UniformMass:
+    """Mass matrix of a zero-boundary space on a uniform mesh of [0, 1].
+
+    Hats (interior nodes of P1) give width * tridiag(1/6, 2/3, 1/6); cell
+    indicators give width * I.  Both are diagonal in the sine basis, with
+    eigenvalues diag + 2 off cos(pi k / (size + 1)), so a solve is two
+    sine transforms around a division, vectorized over the columns of a
+    block.  One step of iterative refinement, its residual from the
+    tridiagonal product, brings the solve to about one rounding of the
+    true solution, where the transforms alone leave two to three.
     """
-    from scipy.sparse import diags_array
 
-    w = np.diff(nodes)
-    diag = w[:-1] / 3.0 + w[1:] / 3.0
-    off = w[1:-1] / 6.0
-    return diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
+    size: int
+    width: float
+    hats: bool = True
+
+    @property
+    def diag(self) -> float:
+        return 2.0 * self.width / 3.0 if self.hats else self.width
+
+    @property
+    def off(self) -> float:
+        return self.width / 6.0 if self.hats else 0.0
+
+    def __matmul__(self, c: np.ndarray) -> np.ndarray:
+        out = self.diag * c
+        if self.hats:
+            out[1:] += self.off * c[:-1]
+            out[:-1] += self.off * c[1:]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """Dense matrix: oracles on small systems, and the coarse term of K."""
+        n = self.size
+        a = np.zeros((n, n))
+        a.flat[:: n + 1] = self.diag
+        a.flat[1 :: n + 1] = self.off
+        a.flat[n :: n + 1] = self.off
+        return a
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """This matrix's inverse applied to rhs, a vector or the columns of a block."""
+        if not self.hats:
+            return rhs / self.diag
+        n = self.size
+        k = np.arange(1, n + 1).reshape(n, *(1,) * (rhs.ndim - 1))
+        # eigenvalues times 2 (n + 1), the square of the transform's norm
+        scale = (self.diag + 2.0 * self.off * np.cos(np.pi * k / (n + 1))) * (2.0 * (n + 1))
+        x = _sine_transform(_sine_transform(rhs) / scale)
+        return x + _sine_transform(_sine_transform(rhs - self @ x) / scale)
 
 
 def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
@@ -106,59 +154,39 @@ def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
     return b
 
 
-def _banded_cholesky(m: sparse.csr_array) -> np.ndarray:
-    """Upper banded Cholesky factor of a symmetric tridiagonal (or diagonal) matrix."""
-    from scipy.linalg import cholesky_banded
-
-    ab = np.zeros((2, m.shape[0]))
-    ab[0, 1:] = m.diagonal(1)
-    ab[1] = m.diagonal()
-    return cholesky_banded(ab)
-
-
 @dataclass
 class FemOperatorSet:
     """Assembled pieces of the reduced analysis system on [0, 1]."""
 
     k_chi: float
-    mh: sparse.csr_array
-    mH: sparse.csr_array
+    mh: UniformMass
+    mH: UniformMass
     b: np.ndarray
-    # factors, computed once per assembly and read by every apply and solve
-    mh_chol: np.ndarray = field(init=False, repr=False)
-    mH_chol: np.ndarray = field(init=False, repr=False)
+    # computed once per assembly and read by every apply and solve
     mH_inv_bt: np.ndarray = field(init=False, repr=False)  # MH^{-1} B^T
     mh_inv_b: np.ndarray = field(init=False, repr=False)  # Mh^{-1} B
-    # cho_factor of K = MH + k chi B^T Mh^{-1} B; None when k chi = 0
-    woodbury: tuple | None = field(init=False, repr=False)
+    # K = MH + k chi B^T Mh^{-1} B; None when k chi = 0
+    woodbury: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        from scipy.linalg import cho_factor
-
-        self.mh_chol = _banded_cholesky(self.mh)
-        self.mH_chol = _banded_cholesky(self.mH)
         self.mH_inv_bt = self.coarse_solve(self.b.T)
         self.mh_inv_b = self.fine_solve(self.b)
         self.woodbury = None
         if self.k_chi != 0.0:
-            k_mat = self.mH.toarray() + self.k_chi * (self.b.T @ self.mh_inv_b)
-            self.woodbury = cho_factor(k_mat)
+            self.woodbury = self.mH.toarray()
+            self.woodbury += self.k_chi * (self.b.T @ self.mh_inv_b)
 
     @property
     def dim(self) -> int:
-        return self.mh.shape[0]
+        return self.mh.size
 
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """MH^{-1} rhs from the banded Cholesky factor."""
-        from scipy.linalg import cho_solve_banded
-
-        return cho_solve_banded((self.mH_chol, False), rhs)
+        """MH^{-1} rhs."""
+        return self.mH.solve(rhs)
 
     def fine_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Mh^{-1} rhs from the banded Cholesky factor."""
-        from scipy.linalg import cho_solve_banded
-
-        return cho_solve_banded((self.mh_chol, False), rhs)
+        """Mh^{-1} rhs."""
+        return self.mh.solve(rhs)
 
 
 def check_mesh(fine_n: int, coarse_m: int, kind: str):
@@ -184,15 +212,12 @@ def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperator
         raise ValueError("k_chi must be nonnegative")
     fine = np.linspace(0.0, 1.0, fine_n + 1)
     coarse = np.linspace(0.0, 1.0, coarse_m + 1)
-    mh = _p1_mass(fine)
+    mh = UniformMass(fine_n - 1, 1.0 / fine_n)
     if kind == "nested-linear":
-        mH = _p1_mass(coarse)
+        mH = UniformMass(coarse_m - 1, 1.0 / coarse_m)
     else:
-        from scipy.sparse import diags_array
-
-        mH = diags_array([np.diff(coarse)], offsets=[0]).tocsr()
-    b = _coupling(fine, coarse, kind)
-    return FemOperatorSet(k_chi, mh, mH, b)
+        mH = UniformMass(coarse_m, 1.0 / coarse_m, hats=False)
+    return FemOperatorSet(k_chi, mh, mH, _coupling(fine, coarse, kind))
 
 
 def reduced_apply(ops: FemOperatorSet, c: np.ndarray) -> np.ndarray:
@@ -207,14 +232,12 @@ def reduced_solve(ops: FemOperatorSet, x: np.ndarray) -> np.ndarray:
     """[Mh + k_chi B MH^{-1} B^T]^{-1} x by the Sherman-Morrison-Woodbury identity.
 
     S^{-1} x = Mh^{-1} x - k_chi Mh^{-1} B K^{-1} B^T Mh^{-1} x with the
-    coarse-sized K = MH + k_chi B^T Mh^{-1} B, whose factor `assemble` keeps.
+    coarse-sized K = MH + k_chi B^T Mh^{-1} B, which `assemble` keeps.
     """
-    from scipy.linalg import cho_solve
-
     y = ops.fine_solve(x)
     if ops.k_chi == 0.0:
         return y
-    return y - ops.k_chi * (ops.mh_inv_b @ cho_solve(ops.woodbury, ops.b.T @ y))
+    return y - ops.k_chi * (ops.mh_inv_b @ np.linalg.solve(ops.woodbury, ops.b.T @ y))
 
 
 def solve_step2_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -225,13 +248,13 @@ def solve_step2_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) ->
     """
     rhs = ops.mh @ vtilde
     if ops.k_chi != 0.0:
-        rhs = rhs + ops.k_chi * (ops.b @ ops.coarse_solve(ops.b.T @ obs))
+        rhs = rhs + ops.k_chi * (ops.b @ (ops.mH_inv_bt @ obs))
     return reduced_solve(ops, rhs)
 
 
 def project_to_coarse_and_back(ops: FemOperatorSet, w: np.ndarray) -> np.ndarray:
     """Fine coefficients of (fine L2 projection of) the coarse projection of w."""
-    return ops.fine_solve(ops.b @ ops.coarse_solve(ops.b.T @ w))
+    return ops.mh_inv_b @ (ops.mH_inv_bt @ w)
 
 
 def explicit_update_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -295,28 +318,23 @@ def dense_condition(ops: FemOperatorSet) -> ConditionEstimate:
     return ConditionEstimate(float(vals[-1]), float(vals[0]))
 
 
-def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
+def estimate_condition(ops: FemOperatorSet, out: np.ndarray | None = None) -> ConditionEstimate:
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
-    S = Mh + k_chi B MH^{-1} B^T is built densely from the factored pieces
-    `reduced_apply` uses, in one n x n buffer, and LAPACK's symmetric
-    eigenvalue solver (scipy's `eigvalsh`, MRRR) returns its spectrum, exact
-    to roundoff.  `dense_condition` is the independently built oracle for
-    desk-scale systems.
+    S = Mh + k_chi B MH^{-1} B^T is built densely from the pieces
+    `reduced_apply` uses, in one n x n buffer (`out` when given), and
+    LAPACK's symmetric eigenvalue solver (numpy's `eigvalsh`, which reads
+    the lower triangle of a copy) returns its spectrum, exact to roundoff.
+    `dense_condition` is the independently built oracle for desk-scale
+    systems.
     """
-    from scipy.linalg import eigvalsh
-
     n = ops.dim
-    s = ops.b @ ops.mH_inv_bt
+    s = np.matmul(ops.b, ops.mH_inv_bt, out=out)
     s *= ops.k_chi
-    s.flat[:: n + 1] += ops.mh.diagonal()
-    off = ops.mh.diagonal(1)
-    s.flat[1 :: n + 1] += off
-    s.flat[n :: n + 1] += off
-    # S is symmetric, so its transpose is the same matrix in Fortran order,
-    # which LAPACK overwrites in place rather than copying; its pieces passed
-    # the finiteness checks of the factorizations, so no n x n scan either
-    vals = eigvalsh(s.T, overwrite_a=True, check_finite=False)
+    s.flat[:: n + 1] += ops.mh.diag
+    s.flat[1 :: n + 1] += ops.mh.off
+    s.flat[n :: n + 1] += ops.mh.off
+    vals = np.linalg.eigvalsh(s)
     return ConditionEstimate(float(vals[-1]), float(vals[0]))
 
 
@@ -345,9 +363,15 @@ def condition_sweep(
 ) -> list[SweepRow]:
     rows = []
     rng = np.random.default_rng(seed)
+    work = None
     for k_chi in k_chi_values:
         ops = assemble(fine_n, coarse_m, kind, float(k_chi))
-        est = estimate_condition(ops)
+        # every point builds its reduced matrix in one buffer: a fresh one,
+        # freed together with eigvalsh's copy, would let the allocator return
+        # both to the OS and fault their pages in again at the next point
+        if work is None:
+            work = np.empty((ops.dim, ops.dim))
+        est = estimate_condition(ops, work)
         vtilde = rng.standard_normal(ops.dim)
         obs = rng.standard_normal(ops.dim)
         v_imp = solve_step2_fem(ops, vtilde, obs)

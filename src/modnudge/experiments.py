@@ -477,12 +477,17 @@ def explicit_implicit_equivalence(rng: np.random.Generator, count: int) -> Prope
 
 
 def filter_update_identity(rng: np.random.Generator, count: int) -> PropertyResult:
-    """The two-term update identity for the (non-idempotent) filter, whose
-    correction term must be nonzero on at least 90% of the instances."""
+    """The two-term update identity for the (non-idempotent) filter.
+
+    Its correction term grows like (k chi)^2 and is rounding-sized at small
+    k chi, so it must exceed 1e-6 on every instance with k chi >= 1e-2 (it
+    stays above 1e-5 there): the identity is checked where its second term
+    is really there, whatever the instance count.
+    """
     grid = get_grid(32)
     tol = 1e-12
     worst = 0.0
-    nonzero = 0
+    checked = held = 0
     for _ in range(count):
         op = make_differential_filter(grid, float(rng.uniform(0.2, 1.0)))
         vt, u = _random_pair(grid, rng)
@@ -490,13 +495,15 @@ def filter_update_identity(rng: np.random.Generator, count: int) -> PropertyResu
         res = step2a_implicit(vt, op.apply(u), op, k, chi, tol=tol)
         rep = verify_form_b(vt, res.v, u, op, k, chi)
         worst = max(worst, rep.residual_rel)
-        nonzero += rep.correction_rel > 1e-6
+        if k * chi >= 1e-2:
+            checked += 1
+            held += rep.correction_rel > 1e-6
     return PropertyResult(
         "update-identity-filter",
-        worst <= 10.0 * tol and nonzero >= int(0.9 * count),
+        worst <= 10.0 * tol and 0 < checked == held,
         True,
         f"max residual {worst:.3e} (limit {10.0 * tol:.0e}), correction > 1e-6 on "
-        f"{nonzero}/{count}",
+        f"{held}/{checked} instances with k chi >= 1e-2",
     )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -260,16 +261,15 @@ class TestErrors:
         assert "all hard property suites passed" in proc.stdout
 
 
-# run in a fresh interpreter: twin, converge and horizon load no scipy, and
-# condlab loads scipy.linalg on its first assembly
+# run in a fresh interpreter: no subcommand loads scipy, which the package
+# does not depend on
 IMPORT_GUARD = """
 import sys
-from modnudge import cli, condlab
+from modnudge import cli
 
 out, tiny_twin = sys.argv[1], sys.argv[2:]
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not scipy_modules(), scipy_modules()
 assert cli.main(["twin", "--outdir", out + "/twin", *tiny_twin]) == 0
 assert cli.main(["twin", "--outdir", out + "/cellavg", *tiny_twin, "--set", "scheme=2a-implicit",
                  "--set", "operator=cell-average", "--set", "operator_scale=8"]) == 0
@@ -278,15 +278,16 @@ assert cli.main(["horizon", "--series", out + "/twin/twin_errors.csv", "--window
 assert cli.main(["converge", "--outdir", out + "/converge", "--set", "n=16", "--set", "k=0.2",
                  "--set", "k_list=0.2,0.1", "--set", "T=0.4", "--set", "chi=100",
                  "--set", "operator_scale=4"]) == 0
+for kind in ("nested-linear", "piecewise-constant"):
+    assert cli.main(["condlab", "--outdir", out + "/" + kind, "--set", "fem_n=16",
+                     "--set", "fem_m=4", "--set", "fem_kind=" + kind, "--set", "kchi_list=1"]) == 0
+assert cli.main(["props", "--count", "12"]) == 0
 assert not scipy_modules(), scipy_modules()
-assert cli.main(["condlab", "--outdir", out + "/condlab", "--set", "fem_n=16",
-                 "--set", "fem_m=4", "--set", "kchi_list=1"]) == 0
-assert "scipy.linalg" in sys.modules
 print("import guard ok")
 """
 
 
-def test_only_condlab_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     src = str(Path(modnudge.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
@@ -295,6 +296,23 @@ def test_only_condlab_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "import guard ok" in proc.stdout
+
+
+def test_package_source_never_imports_scipy():
+    """No module of the package names scipy in an import, lazy ones included."""
+    package = Path(modnudge.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_readme_synopsis_lists_every_option():

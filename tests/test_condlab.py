@@ -75,13 +75,20 @@ class TestAssembly:
         b = cl._coupling(_uniform(n), _uniform(7), "piecewise-constant")
         assert np.max(np.abs(b.sum(axis=1) - 1.0 / n)) < 1e-16
 
-    def test_p1_mass_on_a_non_uniform_mesh_is_the_element_sum(self):
-        nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.6, 0.85, 0.9, 1.0])
-        want = np.zeros((nodes.size, nodes.size))
-        for e, h in enumerate(np.diff(nodes)):  # element mass h/6 [[2, 1], [1, 2]]
-            want[e:e + 2, e:e + 2] += [[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]
-        got = cl._p1_mass(nodes).toarray()
-        assert np.array_equal(got, want[1:-1, 1:-1])
+    def test_uniform_masses_are_the_element_sums(self):
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 9):
+            h = 1.0 / n
+            hats = np.zeros((n + 1, n + 1))
+            for e in range(n):  # element mass h/6 [[2, 1], [1, 2]] on nodes e, e + 1
+                hats[e:e + 2, e:e + 2] += [[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]
+            cells = h * np.eye(n)  # indicators of disjoint cells
+            for mass, want in ((cl.UniformMass(n - 1, h), hats[1:-1, 1:-1]),
+                               (cl.UniformMass(n, h, hats=False), cells)):
+                assert np.array_equal(mass.toarray(), want)
+                c = rng.standard_normal((mass.size, 3))
+                assert np.allclose(mass @ c, want @ c, rtol=0.0, atol=1e-15)
+                assert np.allclose(mass @ c[:, 0], want @ c[:, 0], rtol=0.0, atol=1e-15)
 
     def test_coarse_mass_kinds(self):
         nested = cl.assemble(16, 4, "nested-linear", 1.0)
@@ -96,6 +103,27 @@ class TestAssembly:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="coarse kind"):
             cl.assemble(8, 4, "chebyshev", 1.0)
+
+
+class TestMassSolves:
+    """The sine-basis solves against LAPACK's dense solve of the same matrix."""
+
+    @pytest.mark.parametrize("n,m", [
+        (4, 2), (4, 4), (6, 2), (6, 6), (64, 2), (64, 16), (64, 64),
+        (256, 16), (256, 256), (258, 2), (258, 258),
+    ])
+    @pytest.mark.parametrize("kind", cl.COARSE_KINDS)
+    def test_fine_and_coarse_solves_match_the_dense_solve(self, n, m, kind):
+        rng = np.random.default_rng(n + m)
+        ops = cl.assemble(n, m, kind, 1.0)
+        for mass, solve in ((ops.mh, ops.fine_solve), (ops.mH, ops.coarse_solve)):
+            dense = mass.toarray()
+            for rhs in (rng.standard_normal(mass.size), rng.standard_normal((mass.size, 5))):
+                got = solve(rhs)
+                want = np.linalg.solve(dense, rhs)
+                assert got.shape == rhs.shape
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+                assert np.linalg.norm(dense @ got - rhs) <= 1e-14 * np.linalg.norm(rhs)
 
 
 class TestReducedOperator:
