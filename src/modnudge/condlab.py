@@ -15,13 +15,13 @@ division by known eigenvalues.  Once per assembly it keeps the
 coarse-by-fine block MH^{-1} B^T, the fine-by-coarse block Mh^{-1} B
 and, through the Sherman-Morrison-Woodbury identity, a small
 coarse-sized matrix whose solve applies the reduced inverse.  With
-those it applies the reduced operator and its inverse without an inner
-iteration, takes the condition number from the extreme eigenvalues of
-the reduced matrix (assembled densely from the same pieces, one LAPACK
-call), and compares the implicit solve (the reduced inverse applied to
-the analysis right side) to the closed-form gain update -- which is
-exact precisely when the coarse space is nested in the fine one, so the
-composed projection is idempotent.
+those it applies the reduced operator without an inner iteration, takes
+the condition number from the extreme eigenvalues of the reduced matrix
+(assembled densely from the same pieces, one LAPACK call), and compares
+the implicit solve (the analysis increment through the coarse-sized
+solve) to the closed-form gain update -- which is exact precisely when
+the coarse space is nested in the fine one, so the composed projection
+is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space; a mesh is its sorted node array, its elements the gaps between
@@ -228,28 +228,20 @@ def reduced_apply(ops: FemOperatorSet, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduced_solve(ops: FemOperatorSet, x: np.ndarray) -> np.ndarray:
-    """[Mh + k_chi B MH^{-1} B^T]^{-1} x by the Sherman-Morrison-Woodbury identity.
-
-    S^{-1} x = Mh^{-1} x - k_chi Mh^{-1} B K^{-1} B^T Mh^{-1} x with the
-    coarse-sized K = MH + k_chi B^T Mh^{-1} B, which `assemble` keeps.
-    """
-    y = ops.fine_solve(x)
-    if ops.k_chi == 0.0:
-        return y
-    return y - ops.k_chi * (ops.mh_inv_b @ np.linalg.solve(ops.woodbury, ops.b.T @ y))
-
-
 def solve_step2_fem(ops: FemOperatorSet, vtilde: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """The implicit analysis update in fine coefficients, by `reduced_solve`.
+    """The implicit analysis update in fine coefficients, in increment form.
 
-    `obs` holds the fine coefficients of the truth; its observation
-    enters through the same coupling as the unknown.
+    [Mh + k_chi B MH^{-1} B^T] v = Mh vtilde + k_chi B MH^{-1} B^T obs has,
+    by the Sherman-Morrison-Woodbury identity with the coarse-sized
+    K = MH + k_chi B^T Mh^{-1} B that `assemble` keeps, the solution
+    v = vtilde + k_chi Mh^{-1} B K^{-1} B^T (obs - vtilde).  A solve for v
+    itself would cancel a k_chi-sized right side and lose eps * k_chi.
+    `obs` holds the fine coefficients of the truth.
     """
-    rhs = ops.mh @ vtilde
-    if ops.k_chi != 0.0:
-        rhs = rhs + ops.k_chi * (ops.b @ (ops.mH_inv_bt @ obs))
-    return reduced_solve(ops, rhs)
+    if ops.k_chi == 0.0:
+        return vtilde.copy()
+    gap = np.linalg.solve(ops.woodbury, ops.b.T @ (obs - vtilde))
+    return vtilde + ops.k_chi * (ops.mh_inv_b @ gap)
 
 
 def project_to_coarse_and_back(ops: FemOperatorSet, w: np.ndarray) -> np.ndarray:

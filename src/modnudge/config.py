@@ -71,8 +71,8 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # the operator itself checks the kind, the scale and that cells divide n
-        make_operator(get_grid(self.n), self.operator, self.operator_scale)
-        check_scheme_operator(self.scheme, self.operator)
+        op = make_operator(get_grid(self.n), self.operator, self.operator_scale)
+        check_scheme_operator(self.scheme, op)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         steps = round(self.T / self.k)

@@ -3,19 +3,21 @@
 Everything here is deterministic given (config, seed): random fields come
 from one seeded generator, and the drivers return plain data structures
 so the CLI layer can format them without recomputing anything.
+What a scheme does is read from its record in `stepping.SCHEMES`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import condlab
-# run_twin records each plain analysis step through `verify_form_b`; the
-# benchmark tracer times all three identity checkers under these names here.
+# `advance` calls the analysis updates, and run_twin the identity checkers,
+# through this module's attributes, which the benchmark tracer wraps.
 from .assimilate import (  # noqa: F401
     check_energy_identity_2b,
     check_gradient_monotonicity,
@@ -49,6 +51,7 @@ from .spectral import (
     random_divfree_field,
 )
 from .stepping import (
+    PLAIN_FORECAST,
     SCHEMES,
     ForecastState,
     SchemeConfig,
@@ -64,18 +67,6 @@ from .stepping import (
 # one assimilation step, any scheme
 # ---------------------------------------------------------------------------
 
-# The analysis update each two-step scheme applies after the forecast.  The
-# entries look the updates up in this module each time they run, so patching
-# one of those module attributes reaches `advance`.
-ANALYSIS_UPDATES = {
-    "2a-explicit": lambda vt, obs, op, c: step2a_explicit(vt, obs, op, c.k, c.chi),
-    "2a-implicit": lambda vt, obs, op, c: step2a_implicit(vt, obs, op, c.k, c.chi),
-    "2b": lambda vt, obs, op, c: step2b(vt, obs, op, c.k, c.chi, c.nu),
-}
-# The schemes that solve (v - vtilde)/k = chi I_H(u - v); run_twin ledgers their identities.
-PLAIN_SCHEMES = ("2a-explicit", "2a-implicit")
-
-
 def advance(
     state: ForecastState,
     forcing_field: SpectralVectorField,
@@ -89,16 +80,18 @@ def advance(
     and clock (vtilde itself for the plain forecast and the fused
     `standard` step) and, for every scheme that runs a forecast, with that
     forecast's increment in its history (which starts the next forecast);
-    the fused `standard` step leaves the history as it was.
+    the fused `standard` step leaves the history as it was.  The step is
+    the config's `rule`, so chi = 0 runs the plain forecast.
     """
     cfg = state.config
-    scheme = cfg.scheme if cfg.chi > 0 else "none"
-    if scheme == "standard":
+    rule = cfg.rule
+    if rule.fused:
         vtilde = v = step_standard_nudging(state, forcing_field, u_obs, op).v
     else:
         vtilde = v = step1_forecast(state, forcing_field).v
-        if scheme in ANALYSIS_UPDATES:
-            v = ANALYSIS_UPDATES[scheme](vtilde, u_obs, op, cfg).v
+        if rule.analysis is not None:
+            # the update is looked up in this module now, where patches reach it
+            v = rule.analysis(sys.modules[__name__], vtilde, u_obs, op, cfg).v
     state.time = v.time
     state.velocity = v
     return vtilde
@@ -117,13 +110,6 @@ class ConvergenceTable:
     scheme: str
     rows: tuple[tuple[float, float, float], ...]
     notes: tuple[str, ...] = ()
-
-    @property
-    def finest_rate(self) -> float:
-        for k, err, rate in reversed(self.rows):
-            if math.isfinite(rate):
-                return rate
-        return float("nan")
 
 
 def manufactured_error(
@@ -159,10 +145,16 @@ def manufactured_error(
 def run_converge(
     cfg: RunConfig,
     k_list: Sequence[float] | None = None,
-    schemes: Sequence[str] = SCHEMES[1:],
+    schemes: Sequence[str] | None = None,
 ) -> dict[str, ConvergenceTable]:
     """One error-vs-k table per scheme, sharing the config's (n, nu, chi, T);
-    by default every scheme but the plain forecast `none`."""
+    by default every nudging scheme the configured operator admits.  Every
+    scheme is checked against the operator before the first step."""
+    op = make_operator(get_grid(cfg.n), cfg.operator, cfg.operator_scale)
+    if schemes is None:
+        schemes = [s.name for s in SCHEMES[1:] if s.admits(op)]
+    for scheme in schemes:
+        check_scheme_operator(scheme, op)
     ks = tuple(k_list if k_list is not None else cfg.k_list)
     tables: dict[str, ConvergenceTable] = {}
     for scheme in schemes:
@@ -219,10 +211,6 @@ class VariantResult:
     decrease_checked: int = 0
     decrease_violations: int = 0
 
-    @property
-    def final_relative_error(self) -> float:
-        return self.series.norms[-1]
-
     def mean_relative_error(self, t_from: float, t_to: float) -> float:
         times = self.series.times
         mask = (times >= t_from - 1e-12) & (times <= t_to + 1e-12)
@@ -246,18 +234,20 @@ def _chi_tag(chi: float) -> str:
 
 
 def twin_variants(cfg: RunConfig, include_alternates: bool = False) -> tuple[TwinVariant, ...]:
-    """chi sweep of the configured scheme, plus optional cross-scheme runs."""
+    """chi sweep of the configured scheme, plus optional cross-scheme runs:
+    at the strongest chi, every other nudging scheme whose steps are not
+    ledgered as plain, the fused one first."""
     out: list[TwinVariant] = []
     for chi in cfg.chi_list:
         if chi == 0.0:
-            out.append(TwinVariant("chi-0", "none", 0.0))
+            out.append(TwinVariant("chi-0", PLAIN_FORECAST.name, 0.0))
         else:
             out.append(TwinVariant(f"{cfg.scheme}-chi-{_chi_tag(chi)}", cfg.scheme, chi))
     if include_alternates:
         strong = max((c for c in cfg.chi_list if c > 0), default=cfg.chi)
-        for scheme in ("standard", "2b"):
-            if scheme != cfg.scheme:
-                out.append(TwinVariant(f"{scheme}-chi-{_chi_tag(strong)}", scheme, strong))
+        alternates = [s for s in SCHEMES[1:] if not s.ledgered and s.name != cfg.scheme]
+        for s in sorted(alternates, key=lambda s: not s.fused):
+            out.append(TwinVariant(f"{s.name}-chi-{_chi_tag(strong)}", s.name, strong))
     return tuple(out)
 
 
@@ -305,7 +295,7 @@ def run_twin(
     u0, v0, forcing_fn = twin_initial_fields(cfg)
     states = {}
     for var in variants:
-        check_scheme_operator(var.scheme, op.kind)
+        check_scheme_operator(var.scheme, op)
         scheme_cfg = SchemeConfig(
             k=cfg.k, nu=cfg.nu, chi=var.chi, scheme=var.scheme, solver_tol=cfg.solver_tol
         )
@@ -341,7 +331,7 @@ def run_twin(
             e = u_next - v
             err = l2_norm(e)
             rels[var.name].append(err / u_norm)
-            if var.scheme in PLAIN_SCHEMES and var.chi > 0:
+            if state.config.rule.ledgered:
                 rec = verify_form_b(vtilde, v, u_next, op, cfg.k, var.chi)
                 if rec.decreased is not None:
                     decrease[var.name][0] += 1
@@ -597,7 +587,7 @@ def momentum_residual(rng: np.random.Generator) -> PropertyResult:
     state = ForecastState(
         0.0,
         random_divfree_field(grid, rng, kmax=6),
-        SchemeConfig(k=0.02, nu=0.05, scheme="none", solver_tol=1e-10),
+        SchemeConfig(k=0.02, nu=0.05, solver_tol=1e-10),
     )
     f = random_divfree_field(grid, rng, kmax=3, normalize=0.5)
     for _ in range(10):

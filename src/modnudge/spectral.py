@@ -320,9 +320,6 @@ class SpectralVectorField:
 
     __rmul__ = __mul__
 
-    def at_time(self, t: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs, t)
-
     def mean(self) -> np.ndarray:
         return self.coeffs[:, 0, 0].real.copy()
 
@@ -367,24 +364,12 @@ def divergence(v: SpectralVectorField) -> ScalarField:
     return ScalarField(g, _readonly(c), v.time)
 
 
-def laplacian(f: Field) -> Field:
-    g = f.grid
-    c = -g.k2 * f.coeffs
-    if isinstance(f, ScalarField):
-        return ScalarField(g, _readonly(c), f.time)
-    return SpectralVectorField(g, _readonly(c), f.time)
-
-
-def leray_project(v: SpectralVectorField) -> SpectralVectorField:
-    """L2-orthogonal projection onto divergence-free fields.
+def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """Coefficients of the L2-orthogonal projection onto divergence-free fields.
 
     Mode-wise P = I - k k^T / |k|^2; the k = 0 (mean) mode is untouched,
     since constants are divergence free.
     """
-    return SpectralVectorField(v.grid, _readonly(_leray_coeffs(v.grid, v.coeffs)), v.time)
-
-
-def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     # c_j - k_j (k . c) / |k|^2, evaluated in place: no stack, two temporaries
     scale = grid.kx * c[0]
     scale += grid.ky * c[1]

@@ -14,7 +14,8 @@ term; the right-hand sides and the nudging term chi P I_H w are
 projected on their own.  `step_standard_nudging` fuses the
 relaxation term chi I_H (u - v) into the same solve; the modular
 schemes instead call `step1_forecast` and then one of the analysis
-updates from `assimilate`.
+updates from `assimilate`.  A scheme's record in `SCHEMES` says which
+step it takes, which operators it admits and whether runs ledger it.
 
 `TruthIntegrator` produces reference trajectories with the two-level
 BDF2 formula (backward-Euler startup, advecting field extrapolated to
@@ -54,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .observers import IDEMPOTENT_KINDS, ObservationOperator
+from .observers import ObservationOperator
 from .solvers import SolveInfo, solve_gmres
 from .spectral import (
     SpectralVectorField,
@@ -67,25 +68,72 @@ from .spectral import (
     l2_norm,
 )
 
-SCHEMES = ("none", "2a-explicit", "2a-implicit", "2b", "standard")
-
 DEFAULT_SOLVER_TOL = 1e-10
 DEFAULT_SOLVER_MAXIT = 500
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One step rule: `step_standard_nudging` if fused, else `step1_forecast`
+    and then `analysis`, which calls the update through the caller's module
+    (its first argument), so it reaches what that module holds at call time."""
+
+    name: str
+    fused: bool = False  # chi I_H (u - v) sits inside the momentum solve
+    analysis: Callable | None = None  # (module, vtilde, obs, op, config) -> StepResult
+    idempotent_only: bool = False  # the update is exact only for I_H^2 = I_H
+    ledgered: bool = False  # solves (v - vtilde)/k = chi I_H (u - v); runs record its identities
+
+    def admits(self, op: ObservationOperator) -> bool:
+        return op.idempotent or not self.idempotent_only
+
+
+# The plain forecast comes first; the nudging schemes follow in the order of
+# `converge`'s default list and its CSV rows.
+SCHEMES = (
+    Scheme("none"),
+    Scheme("2a-explicit", analysis=lambda m, vt, y, op, c: m.step2a_explicit(vt, y, op, c.k, c.chi),
+           idempotent_only=True, ledgered=True),
+    Scheme("2a-implicit", analysis=lambda m, vt, y, op, c: m.step2a_implicit(vt, y, op, c.k, c.chi),
+           ledgered=True),
+    Scheme("2b", analysis=lambda m, vt, y, op, c: m.step2b(vt, y, op, c.k, c.chi, c.nu)),
+    Scheme("standard", fused=True),
+)
+PLAIN_FORECAST = SCHEMES[0]
+_BY_NAME = {s.name: s for s in SCHEMES}
+
+
+def scheme_rule(name: str) -> Scheme:
+    """The table record of the scheme called `name`."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(_BY_NAME)}")
+    return _BY_NAME[name]
+
+
+def check_scheme_operator(name: str, op: ObservationOperator):
+    """Refuse an unknown scheme, or an operator its update is not exact for."""
+    if not scheme_rule(name).admits(op):
+        usable = [s.name for s in SCHEMES[1:] if s.admits(op)]
+        raise ValueError(
+            f"scheme {name!r} requires an idempotent observation operator "
+            "(I_H applied twice must equal I_H applied once), which "
+            f"{op.kind!r} is not.  Use one of {', '.join(usable)} with it."
+        )
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Parameters shared by every stepping variant.
 
-    scheme selects the analysis treatment; `none` runs the plain
-    forecast.  solver_tol is the Krylov relative tolerance of the
-    momentum solve.
+    scheme names the step rule in `SCHEMES`; `none` runs the plain
+    forecast, as does every scheme at chi = 0.  solver_tol is the Krylov
+    relative tolerance of the momentum solve.
     """
 
     k: float
     nu: float
     chi: float = 0.0
-    scheme: str = "none"
+    scheme: str = PLAIN_FORECAST.name
     solver_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self):
@@ -97,18 +145,12 @@ class SchemeConfig:
             raise ValueError("nudging strength chi must be nonnegative")
         if not 0 < self.solver_tol <= 1e-4:
             raise ValueError("solver_tol must lie in (0, 1e-4]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        scheme_rule(self.scheme)
 
-
-def check_scheme_operator(scheme: str, operator_kind: str):
-    """Refuse `2a-explicit` with an operator whose closed-form update is not exact."""
-    if scheme == "2a-explicit" and operator_kind not in IDEMPOTENT_KINDS:
-        raise ValueError(
-            "scheme '2a-explicit' requires an idempotent observation operator "
-            "(I_H applied twice must equal I_H applied once), which "
-            f"{operator_kind!r} is not.  Use scheme '2a-implicit' or '2b' with it."
-        )
+    @property
+    def rule(self) -> Scheme:
+        """The step this config takes: its scheme's record, the plain forecast at chi = 0."""
+        return _BY_NAME[self.scheme] if self.chi > 0 else PLAIN_FORECAST
 
 
 class IncrementHistory:
@@ -255,8 +297,6 @@ def step_standard_nudging(
     module docstring for why it has no extrapolated start).
     """
     cfg = state.config
-    if cfg.chi == 0.0:
-        return step1_forecast(state, forcing)
     grid = state.velocity.grid
     _require_zero_mean(forcing, "forcing")
     rhs = (
@@ -389,26 +429,14 @@ class StabilityLedger:
         op: ObservationOperator,
         k: float,
         chi: float,
-        nu_2b: float | None = None,
     ):
-        """Fold one analysis update into the budget.
-
-        For the viscous variant pass nu_2b = nu; its gradient terms
-        enter the left side (the net gradient difference may be
-        negative: the variant smooths).
-        """
+        """Fold one analysis update of the plain equation into the budget."""
         if chi == 0.0:
             self.latest_sq = l2_norm(v_new) ** 2
             return
         kchi = k * chi
         self.left_sum += l2_norm(v_new - vtilde) ** 2 + kchi * l2_norm(op.apply(v_new)) ** 2
         self.right_sum += kchi * l2_norm(observation) ** 2
-        if nu_2b is not None:
-            self.left_sum += k * nu_2b * (
-                h1_seminorm(v_new - vtilde) ** 2
-                + h1_seminorm(v_new) ** 2
-                - h1_seminorm(vtilde) ** 2
-            )
         self.latest_sq = l2_norm(v_new) ** 2
 
     @property

@@ -1,11 +1,35 @@
-"""Field builders and probes that only the tests need."""
+"""Field builders, probes and table readers that only the tests need."""
 
 import math
 
 import numpy as np
 
 from modnudge.manufactured import _shape_values
-from modnudge.spectral import ScalarField, SpectralVectorField, TorusGrid, _readonly
+from modnudge.spectral import ScalarField, SpectralVectorField, TorusGrid, _leray_coeffs, _readonly
+
+
+def at_time(v: SpectralVectorField, t: float) -> SpectralVectorField:
+    """The same coefficients stamped with time t."""
+    return SpectralVectorField(v.grid, v.coeffs, t)
+
+
+def laplacian(f):
+    """Spectral Laplacian of a scalar or vector field."""
+    c = _readonly(-f.grid.k2 * f.coeffs)
+    return type(f)(f.grid, c, f.time)
+
+
+def leray_project(v: SpectralVectorField) -> SpectralVectorField:
+    """L2-orthogonal projection onto divergence-free fields."""
+    return SpectralVectorField(v.grid, _readonly(_leray_coeffs(v.grid, v.coeffs)), v.time)
+
+
+def finest_rate(table) -> float:
+    """The observed order of a convergence table's finest halving pair."""
+    for k, err, rate in reversed(table.rows):
+        if math.isfinite(rate):
+            return rate
+    return float("nan")
 
 
 def mode_coefficient(coeffs: np.ndarray, kx: int, ky: int) -> complex:
@@ -43,4 +67,4 @@ def curl(v: SpectralVectorField) -> ScalarField:
 def manufactured_forcing_fn(grid: TorusGrid, nu: float):
     """Time-callable forcing of the closed-form flow, for the truth integrator."""
     base = SpectralVectorField.from_grid(grid, _shape_values(grid))
-    return lambda t: ((1.0 + nu) * math.exp(t)) * base.at_time(t)
+    return lambda t: ((1.0 + nu) * math.exp(t)) * at_time(base, t)

@@ -19,6 +19,8 @@ from modnudge import experiments as ex
 from modnudge import fileio
 from modnudge.config import default_config
 
+from spectral_helpers import finest_rate
+
 POL_COL = fileio.LEDGER_COLUMNS.index("polarization_res")
 GM_COL = fileio.LEDGER_COLUMNS.index("gradmono_res")
 
@@ -51,7 +53,7 @@ def twin():
 
 def test_01_temporal_convergence(convergence):
     tables, elapsed = convergence
-    rates = {scheme: table.finest_rate for scheme, table in tables.items()}
+    rates = {scheme: finest_rate(table) for scheme, table in tables.items()}
     ok = all(0.85 <= r <= 1.15 for r in rates.values()) and elapsed <= 180.0
     shown = ", ".join(f"{s}={r:.4f}" for s, r in rates.items())
     _line(1, "temporal convergence", ok, f"finest rates {shown}; {elapsed:.1f}s")

@@ -83,7 +83,7 @@ def test_tracer_and_step_clock_reach_every_layer_and_restore():
     assert all(ffts[i] == 2 for i in advects)
 
     # every plain-variant step is recorded through a hooked identity checker
-    plain = sum(v.scheme in ex.PLAIN_SCHEMES and v.chi > 0 for v in variants)
+    plain = sum(stepping.scheme_rule(v.scheme).ledgered and v.chi > 0 for v in variants)
     for step, (t0, t1) in enumerate(zip(clock.marks, clock.marks[1:]), start=1):
         spans = [s for s in tracer.spans if s[0] == "assimilate.identity" and t0 <= s[1] < t1]
         assert len(spans) >= plain, f"step {step}: {len(spans)} identity spans"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import modnudge
+from modnudge import experiments as ex
 from modnudge.cli import build_parser, main
 
 TINY_TWIN = [
@@ -61,6 +62,28 @@ class TestConverge:
         assert main([*common, "--outdir", str(tmp_path / "s"), *sets]) == 0
         assert (tmp_path / "f" / "convergence.csv").read_bytes() == \
             (tmp_path / "s" / "convergence.csv").read_bytes()
+
+    def test_default_schemes_are_those_the_operator_admits(self, tmp_path):
+        rc = main(["converge", "--outdir", str(tmp_path), "--set", "scheme=2a-implicit",
+                   "--set", "operator=differential-filter", "--set", "operator_scale=0.25"])
+        assert rc == 0
+        rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == [
+            "2a-implicit", "2b", "standard"]
+
+    @pytest.mark.parametrize("schemes,sets", [
+        ("2a-implicit,bogus", []),
+        ("2a-implicit,2a-explicit", ["--set", "scheme=2a-implicit",
+                                     "--set", "operator=differential-filter"]),
+    ])
+    def test_every_scheme_is_checked_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, schemes, sets):
+        calls = []
+        monkeypatch.setattr(ex, "manufactured_error", lambda *a, **kw: calls.append(a))
+        rc = main(["converge", "--outdir", str(tmp_path), "--schemes", schemes, *sets])
+        assert rc == 2 and calls == []
+        assert not (tmp_path / "convergence.csv").exists()
+        assert schemes.split(",")[1] in capsys.readouterr().err
 
 
 class TestTwin:

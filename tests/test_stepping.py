@@ -1,6 +1,8 @@
 """Stepper checks: manufactured-solution accuracy, energy behavior, BDF2, Krylov starts."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from modnudge import spectral as sp
 from modnudge import stepping as st
 from modnudge.config import RunConfig
 
-from spectral_helpers import manufactured_forcing_fn
+from spectral_helpers import at_time, manufactured_forcing_fn
 
 
 def make_state(grid, v, k=0.1, nu=1.0, chi=0.0, scheme="none", **kw):
@@ -163,7 +165,7 @@ class TestTruth:
     def test_zero_everything_stays_zero(self):
         grid = sp.get_grid(16)
         zero = sp.SpectralVectorField.zero(grid)
-        fields = truth_fields(zero, lambda t: zero.at_time(t), 0.1, 1.0, nu=1.0)
+        fields = truth_fields(zero, lambda t: at_time(zero, t), 0.1, 1.0, nu=1.0)
         assert all(sp.l2_norm(f) == 0.0 for f in fields)
         assert fields[0].time == 0.0 and fields[-1].time == pytest.approx(1.0)
 
@@ -210,7 +212,7 @@ class TestTruth:
         rng = np.random.default_rng(8)
         u0 = sp.random_divfree_field(grid, rng)
         zero = sp.SpectralVectorField.zero(grid)
-        fields = truth_fields(u0, lambda t: zero.at_time(t), 0.05, 1.0, nu=0.1)
+        fields = truth_fields(u0, lambda t: at_time(zero, t), 0.05, 1.0, nu=0.1)
         norms = [sp.l2_norm(f) for f in fields]
         for a, b in zip(norms, norms[1:]):
             assert b <= a * (1.0 + 1e-12)
@@ -286,7 +288,7 @@ class TestStabilityLedger:
         k, nu = 0.05, 0.1
         forcing = sp.random_divfree_field(grid, rng, normalize=True)
         truth = st.TruthIntegrator(
-            sp.random_divfree_field(grid, rng), lambda t: forcing.at_time(t), k, nu
+            sp.random_divfree_field(grid, rng), lambda t: at_time(forcing, t), k, nu
         )
         v = sp.random_divfree_field(grid, rng)
         state = make_state(grid, v, k=k, nu=nu, chi=chi, scheme=scheme)
@@ -294,7 +296,7 @@ class TestStabilityLedger:
         for _ in range(nsteps):
             u_next = truth.step()
             u_obs = op.apply(u_next)
-            f = forcing.at_time(truth.time)
+            f = at_time(forcing, truth.time)
             if scheme == "standard":
                 res = st.step_standard_nudging(state, f, u_obs, op)
                 ledger.record_forecast(state.velocity, res.v, f, k, nu)
@@ -320,3 +322,51 @@ class TestStabilityLedger:
 
     def test_chi_zero_budget_holds(self):
         self.run_ledger("none", chi=0.0)
+
+
+def scheme_decisions(source: str) -> list[int]:
+    """The lines that compare a value with a scheme-name literal (==, !=, in, not
+    in) or build a tuple, list, set or dict of scheme-name literals."""
+    names = {s.name for s in st.SCHEMES}
+
+    def named(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value in names
+
+    def holds_name(node):
+        return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(map(named, node.elts))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            bad = any(isinstance(o, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for o in node.ops) \
+                and any(named(x) or holds_name(x) for x in (node.left, *node.comparators))
+        elif isinstance(node, ast.Dict):
+            bad = any(k is not None and named(k) for k in node.keys)
+        else:
+            bad = holds_name(node)
+        if bad:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_module_decides_by_scheme_name():
+    """Every scheme decision reads `stepping.SCHEMES`; the table's own records
+    hold the names as call arguments, which the guard does not flag."""
+    package = Path(st.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
+             for line in scheme_decisions(path.read_text())]
+    assert found == []
+
+
+def test_scheme_guard_flags_each_kind_of_decision():
+    planted = (
+        'a = scheme == "2b"\n'
+        'b = "standard" != scheme\n'
+        'c = scheme in ("2a-explicit", "2a-implicit")\n'
+        'd = ["none"]\n'
+        'e = {"2b": 1}\n'
+        'f = Scheme("2b", fused=False)\n'
+        'g = kind == "cell-average"\n'
+    )
+    assert scheme_decisions(planted) == [1, 2, 3, 4, 5]
