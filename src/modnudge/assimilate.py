@@ -48,7 +48,7 @@ import numpy as np
 from .observers import ObservationOperator
 from .solvers import SolveInfo, solve_cg
 from .spectral import SpectralVectorField, _readonly, coeff_dot
-from .stepping import StepResult
+from .stepping import StepResult, check_step_params
 
 DEFAULT_CG_TOL = 1e-12
 
@@ -66,7 +66,7 @@ def step2a_explicit(
     chi: float,
 ) -> StepResult:
     """Closed-form analysis update for idempotent observation operators."""
-    _check_params(k, chi)
+    check_step_params(k, chi)
     if not op.idempotent:
         raise ValueError(
             f"the explicit update assumes I_H^2 = I_H, which fails for {op.kind!r}; "
@@ -88,7 +88,7 @@ def step2a_implicit(
     force_iterative: bool = False,
 ) -> StepResult:
     """Solve (I + k chi I_H) v = vtilde + k chi I_H u for any operator."""
-    _check_params(k, chi, tol)
+    check_step_params(k, chi, tol=tol)
     if chi == 0.0:
         return StepResult(vtilde)
     kchi = k * chi
@@ -111,9 +111,7 @@ def step2b(
     Solves (I - k nu lap + k chi I_H) v = (I - k nu lap) vtilde
     + k chi I_H u, an SPD system.
     """
-    _check_params(k, chi, tol)
-    if not nu > 0:
-        raise ValueError("viscosity must be positive")
+    check_step_params(k, chi, nu, tol)
     if chi == 0.0:
         return StepResult(vtilde)
     kchi = k * chi
@@ -143,15 +141,6 @@ def _shifted_solve(vtilde, rhs, op, base, kchi, tol, force_iterative) -> StepRes
         precondition=lambda r: inv_diag * r,
     )
     return _result(vtilde, c, info)
-
-
-def _check_params(k: float, chi: float, tol: float | None = None):
-    if not k > 0:
-        raise ValueError("time step must be positive")
-    if chi < 0:
-        raise ValueError("nudging strength must be nonnegative")
-    if tol is not None and not 0 < tol <= 1e-4:
-        raise ValueError("solver tolerance must lie in (0, 1e-4]")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def verify_form_b(
     g = k chi / (1 + k chi); it reduces to the explicit update when
     I_H^2 = I_H.
     """
-    _check_params(k, chi)
+    check_step_params(k, chi)
     e, etilde = u.coeffs - v.coeffs, u.coeffs - vtilde.coeffs
     return _record(e, etilde, op, k, chi, (vtilde.coeffs, v.coeffs))
 

@@ -62,8 +62,9 @@ def _load(args, mode: str) -> RunConfig:
 
 def cmd_converge(args) -> int:
     cfg = _load(args, "manufactured")
-    outdir = resolve_outdir(cfg.outdir)
     schemes = args.schemes.split(",") if args.schemes else None
+    ex.check_converge_run(cfg, schemes=schemes)
+    outdir = resolve_outdir(cfg.outdir)
     tables = ex.run_converge(cfg, schemes=schemes)
     fileio.write_convergence_csv(
         outdir / "convergence.csv", {s: list(t.rows) for s, t in tables.items()}
@@ -90,8 +91,9 @@ def cmd_converge(args) -> int:
 
 def cmd_twin(args) -> int:
     cfg = _load(args, "twin")
-    outdir = resolve_outdir(cfg.outdir)
     variants = ex.twin_variants(cfg, include_alternates=not args.no_alternates)
+    ex.check_twin_run(cfg, variants)
+    outdir = resolve_outdir(cfg.outdir)
     result = ex.run_twin(cfg, variants=variants)
 
     err_rows = []

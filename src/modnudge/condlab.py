@@ -169,8 +169,8 @@ class FemOperatorSet:
     woodbury: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mH_inv_bt = self.coarse_solve(self.b.T)
-        self.mh_inv_b = self.fine_solve(self.b)
+        self.mH_inv_bt = self.mH.solve(self.b.T)
+        self.mh_inv_b = self.mh.solve(self.b)
         self.woodbury = None
         if self.k_chi != 0.0:
             self.woodbury = self.mH.toarray()
@@ -179,14 +179,6 @@ class FemOperatorSet:
     @property
     def dim(self) -> int:
         return self.mh.size
-
-    def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """MH^{-1} rhs."""
-        return self.mH.solve(rhs)
-
-    def fine_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Mh^{-1} rhs."""
-        return self.mh.solve(rhs)
 
 
 def check_mesh(fine_n: int, coarse_m: int, kind: str):

@@ -20,6 +20,7 @@ which overrides whatever the config or command line chose.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -65,26 +66,21 @@ class RunConfig:
     def __post_init__(self):
         SchemeConfig(k=self.k, nu=self.nu, chi=self.chi, scheme=self.scheme,
                      solver_tol=self.solver_tol)
-        if self.n < 4 or self.n % 2:
-            raise ValueError("grid size n must be even and at least 4")
-        for name in ("T", "forcing_amplitude"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        # the operator itself checks the kind, the scale and that cells divide n
+        if not self.forcing_amplitude > 0:
+            raise ValueError("forcing_amplitude must be positive")
+        # the grid checks n; the operator its kind, its scale and that cells divide n
         op = make_operator(get_grid(self.n), self.operator, self.operator_scale)
         check_scheme_operator(self.scheme, op)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        steps = round(self.T / self.k)
-        if steps < 1 or abs(steps * self.k - self.T) > 1e-9 * max(1.0, self.T):
-            raise ValueError("T must be a positive integer number of steps k")
+        step_count(self.T, self.k)
         if self.k_truth < 0:
             raise ValueError("k_truth must be nonnegative (0 selects k/4)")
         if self.k_truth > 0:
             ratio = round(self.k / self.k_truth)
             if ratio < 1 or abs(ratio * self.k_truth - self.k) > 1e-9 * self.k:
                 raise ValueError("the truth step k_truth must evenly divide k")
-        if not self.chi_list or any(c < 0 for c in self.chi_list):
+        if not self.chi_list or any(not c >= 0 for c in self.chi_list):
             raise ValueError("chi_list entries must be nonnegative")
         if not self.k_list or any(kk <= 0 for kk in self.k_list):
             raise ValueError("k_list entries must be positive")
@@ -105,10 +101,19 @@ class RunConfig:
 
     @property
     def steps(self) -> int:
-        return round(self.T / self.k)
+        return step_count(self.T, self.k)
 
     def horizon_windows(self) -> tuple[tuple[float, float], ...]:
         return self.windows or default_windows(self.T)
+
+
+def step_count(T: float, k: float) -> int:
+    """The number of steps k that make up T; refuses a T that is not a
+    positive whole number of them."""
+    steps = round(T / k) if math.isfinite(T / k) else 0
+    if steps < 1 or abs(steps * k - T) > 1e-9 * max(1.0, T):
+        raise ValueError("T must be a positive integer number of steps k")
+    return steps
 
 
 def default_windows(T: float) -> tuple[tuple[float, float], ...]:
@@ -223,7 +228,6 @@ def default_config(mode: str = "twin") -> RunConfig:
             k=0.25,
             T=2.0,
             chi=1e3,
-            operator="spectral-projection",
             operator_scale=8.0,
         )
     return RunConfig()

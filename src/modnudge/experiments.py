@@ -27,7 +27,7 @@ from .assimilate import (  # noqa: F401
     step2b,
     verify_form_b,
 )
-from .config import RunConfig
+from .config import RunConfig, step_count
 from .manufactured import exact_solution, forcing as manufactured_forcing
 from .observers import (
     ObservationOperator,
@@ -112,34 +112,39 @@ class ConvergenceTable:
     notes: tuple[str, ...] = ()
 
 
-def manufactured_error(
-    scheme: str,
-    n: int,
-    k: float,
-    T: float,
-    nu: float,
-    chi: float,
-    operator: str = "spectral-projection",
-    operator_scale: float = 8.0,
-    solver_tol: float = 1e-10,
-) -> float:
-    """L2 error at T of one run driven by the closed-form solution."""
-    grid = get_grid(n)
-    op = make_operator(grid, operator, operator_scale)
-    cfg = SchemeConfig(k=k, nu=nu, chi=chi, scheme=scheme, solver_tol=solver_tol)
-    state = ForecastState(0.0, exact_solution(grid, 0.0), cfg)
-    nsteps = round(T / k)
-    if abs(nsteps * k - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer number of steps k")
-    for i in range(1, nsteps + 1):
+def manufactured_error(cfg: RunConfig, scheme: str, k: float) -> float:
+    """L2 error at cfg.T of one run of `scheme` with step k, driven by the
+    closed-form solution on the config's grid and operator."""
+    grid = get_grid(cfg.n)
+    op = make_operator(grid, cfg.operator, cfg.operator_scale)
+    scheme_cfg = SchemeConfig(k=k, nu=cfg.nu, chi=cfg.chi, scheme=scheme, solver_tol=cfg.solver_tol)
+    state = ForecastState(0.0, exact_solution(grid, 0.0), scheme_cfg)
+    for i in range(1, step_count(cfg.T, k) + 1):
         t1 = i * k
-        f = manufactured_forcing(grid, t1, nu)
+        f = manufactured_forcing(grid, t1, cfg.nu)
         u1 = exact_solution(grid, t1)
         try:
             advance(state, f, op.apply(u1), op)
         except KrylovError as exc:
             raise exc.located(f"scheme {scheme!r}, step {i}, t={t1:.6g}") from exc
-    return l2_norm(state.velocity - exact_solution(grid, T))
+    return l2_norm(state.velocity - exact_solution(grid, cfg.T))
+
+
+def check_converge_run(cfg: RunConfig, k_list: Sequence[float] | None = None,
+                       schemes: Sequence[str] | None = None) -> tuple[tuple, list[str]]:
+    """The steps and schemes `run_converge` runs, refused before its first
+    step: each scheme must suit the configured operator, and T must be a
+    whole number of each step.  By default the schemes are every nudging
+    scheme the operator admits and the steps the config's `k_list`."""
+    op = make_operator(get_grid(cfg.n), cfg.operator, cfg.operator_scale)
+    if schemes is None:
+        schemes = [s.name for s in SCHEMES[1:] if s.admits(op)]
+    for scheme in schemes:
+        check_scheme_operator(scheme, op)
+    ks = tuple(k_list if k_list is not None else cfg.k_list)
+    for k in ks:
+        step_count(cfg.T, k)
+    return ks, list(schemes)
 
 
 def run_converge(
@@ -147,34 +152,16 @@ def run_converge(
     k_list: Sequence[float] | None = None,
     schemes: Sequence[str] | None = None,
 ) -> dict[str, ConvergenceTable]:
-    """One error-vs-k table per scheme, sharing the config's (n, nu, chi, T);
-    by default every nudging scheme the configured operator admits.  Every
-    scheme is checked against the operator before the first step."""
-    op = make_operator(get_grid(cfg.n), cfg.operator, cfg.operator_scale)
-    if schemes is None:
-        schemes = [s.name for s in SCHEMES[1:] if s.admits(op)]
-    for scheme in schemes:
-        check_scheme_operator(scheme, op)
-    ks = tuple(k_list if k_list is not None else cfg.k_list)
+    """One error-vs-k table per scheme, sharing the config's (n, nu, chi, T),
+    over the steps and schemes of `check_converge_run`."""
+    ks, schemes = check_converge_run(cfg, k_list, schemes)
     tables: dict[str, ConvergenceTable] = {}
     for scheme in schemes:
         errors: list[float] = []
         notes: list[str] = []
         for k in ks:
             try:
-                errors.append(
-                    manufactured_error(
-                        scheme,
-                        n=cfg.n,
-                        k=k,
-                        T=cfg.T,
-                        nu=cfg.nu,
-                        chi=cfg.chi,
-                        operator=cfg.operator,
-                        operator_scale=cfg.operator_scale,
-                        solver_tol=cfg.solver_tol,
-                    )
-                )
+                errors.append(manufactured_error(cfg, scheme, k))
             except KrylovError as exc:
                 errors.append(float("nan"))
                 notes.append(f"k={k:g}: solve failed ({exc})")
@@ -268,15 +255,24 @@ def twin_initial_fields(
     return u0, v0, forcing_fn
 
 
-def _check_windows_on_step_grid(windows, k: float):
-    """Horizon windows are read off the assimilation samples, so every
-    endpoint must be a multiple of k (up to the clock's roundoff)."""
-    for win in windows:
+def check_twin_run(cfg: RunConfig, variants: Sequence[TwinVariant]) -> ObservationOperator:
+    """Refuse a twin run before its first step, and return its operator.
+
+    Horizon windows are read off the assimilation samples, so every
+    endpoint must be a multiple of k (up to the clock's roundoff); every
+    variant's scheme must suit the operator.
+    """
+    k = cfg.k
+    for win in cfg.horizon_windows():
         if any(abs(round(t / k) * k - t) > 1e-6 * k for t in win):
             raise ValueError(
                 f"horizon window {win[0]:g}:{win[1]:g} does not start and end on the "
                 f"step grid; its endpoints must be multiples of k={k:g}"
             )
+    op = make_operator(get_grid(cfg.n), cfg.operator, cfg.operator_scale)
+    for var in variants:
+        check_scheme_operator(var.scheme, op)
+    return op
 
 
 def run_twin(
@@ -287,15 +283,12 @@ def run_twin(
     """Synthetic-truth study: integrate truth once, assimilate its
     observations into every variant, and log errors plus the per-step
     identity residuals of the two-step runs."""
-    windows = cfg.horizon_windows()
-    _check_windows_on_step_grid(windows, cfg.k)
-    grid = get_grid(cfg.n)
-    op = make_operator(grid, cfg.operator, cfg.operator_scale)
     variants = tuple(variants if variants is not None else twin_variants(cfg))
+    op = check_twin_run(cfg, variants)
+    windows = cfg.horizon_windows()
     u0, v0, forcing_fn = twin_initial_fields(cfg)
     states = {}
     for var in variants:
-        check_scheme_operator(var.scheme, op)
         scheme_cfg = SchemeConfig(
             k=cfg.k, nu=cfg.nu, chi=var.chi, scheme=var.scheme, solver_tol=cfg.solver_tol
         )

@@ -11,7 +11,9 @@ Three families, all self-adjoint and non-expansive in L2:
 
 The projections are idempotent; the filter is not, which is exactly
 what makes the general-form analysis update differ from the shortcut
-formula (see assimilate.verify_form_b).
+formula (see assimilate.verify_form_b).  Each factory sets that fact and
+the analytic c1 bound on the operator it builds; `make_operator` picks
+the factory for a run config's (kind, scale) from one table.
 
 The spectral projection and the filter are mode multipliers.  The cell
 average is not, but it is separable and shift-covariant by whole cells,
@@ -44,9 +46,6 @@ SPECTRAL_PROJECTION = "spectral-projection"
 CELL_AVERAGE = "cell-average"
 DIFFERENTIAL_FILTER = "differential-filter"
 
-KINDS = (SPECTRAL_PROJECTION, CELL_AVERAGE, DIFFERENTIAL_FILTER)
-IDEMPOTENT_KINDS = (SPECTRAL_PROJECTION, CELL_AVERAGE)  # the projections: I_H^2 = I_H
-
 
 @dataclass(frozen=True)
 class ObservationOperator:
@@ -58,6 +57,8 @@ class ObservationOperator:
     kind: str
     grid: TorusGrid
     h: float
+    idempotent: bool  # I_H^2 = I_H, which makes the explicit analysis update exact
+    c1_bound: float  # analytic c1 in ||w - I_H w|| <= c1 H ||grad w||
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
     # cell average only: the factors (E_x, E_y, O_x, O_y, -q) of `_alias_fold`
     fold: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
@@ -99,11 +100,6 @@ class ObservationOperator:
         return self.multiplier is not None
 
     @property
-    def idempotent(self) -> bool:
-        """Whether I_H^2 = I_H, which makes the explicit analysis update exact."""
-        return self.kind in IDEMPOTENT_KINDS
-
-    @property
     def commutes_with_gradient(self) -> bool:
         """True when grad(I_H w) = I_H(grad w) mode by mode."""
         return self.diagonal
@@ -118,6 +114,8 @@ def make_spectral_projection(grid: TorusGrid, k_cutoff: int) -> ObservationOpera
         kind=SPECTRAL_PROJECTION,
         grid=grid,
         h=h,
+        idempotent=True,
+        c1_bound=1.0 / math.pi,
         multiplier=mask.astype(float),
     )
 
@@ -129,6 +127,8 @@ def make_cell_average(grid: TorusGrid, m: int) -> ObservationOperator:
         kind=CELL_AVERAGE,
         grid=grid,
         h=grid.length / m,
+        idempotent=True,
+        c1_bound=math.sqrt(2.0) / math.pi,  # Poincare on a square cell (diam / pi)
         fold=_alias_fold(grid, m),
     )
 
@@ -170,24 +170,30 @@ def make_differential_filter(grid: TorusGrid, h: float) -> ObservationOperator:
         kind=DIFFERENTIAL_FILTER,
         grid=grid,
         h=h,
+        idempotent=False,
+        c1_bound=0.5,
         multiplier=mult,
     )
 
 
-def make_operator(grid: TorusGrid, kind: str, scale: float) -> ObservationOperator:
-    """Factory from (kind, scale) as they appear in run configs.
+# kind -> (factory, whether the scale counts modes or cells and so must be whole)
+_FACTORIES = {
+    SPECTRAL_PROJECTION: (make_spectral_projection, True),
+    CELL_AVERAGE: (make_cell_average, True),
+    DIFFERENTIAL_FILTER: (make_differential_filter, False),
+}
 
-    The projections count modes or cells, so their scale must be whole.
-    """
-    if kind in IDEMPOTENT_KINDS and not float(scale).is_integer():
+
+def make_operator(grid: TorusGrid, kind: str, scale: float) -> ObservationOperator:
+    """Factory from (kind, scale) as they appear in run configs."""
+    if kind not in _FACTORIES:
+        raise ValueError(
+            f"unknown observation operator kind {kind!r}; expected one of {', '.join(_FACTORIES)}"
+        )
+    factory, counts = _FACTORIES[kind]
+    if counts and not float(scale).is_integer():
         raise ValueError(f"{kind} needs a whole-number operator_scale, got {scale!r}")
-    if kind == SPECTRAL_PROJECTION:
-        return make_spectral_projection(grid, int(scale))
-    if kind == CELL_AVERAGE:
-        return make_cell_average(grid, int(scale))
-    if kind == DIFFERENTIAL_FILTER:
-        return make_differential_filter(grid, float(scale))
-    raise ValueError(f"unknown observation operator kind {kind!r}; expected one of {KINDS}")
+    return factory(grid, int(scale) if counts else float(scale))
 
 
 def idempotency_defect(op: ObservationOperator, w: Field) -> float:
@@ -225,8 +231,8 @@ class FilterPropertyReport:
 
 
 def filter_property_report(op: ObservationOperator, w: Field) -> FilterPropertyReport:
-    if op.kind != DIFFERENTIAL_FILTER:
-        raise ValueError("the smoothing estimates are specific to the differential filter")
+    if op.idempotent:
+        raise ValueError(f"the smoothing estimates are for the differential filter, not {op.kind!r}")
     wb = op.apply(w)
     return FilterPropertyReport(
         l2_contraction=(l2_norm(wb), l2_norm(w)),
@@ -239,13 +245,6 @@ def filter_property_report(op: ObservationOperator, w: Field) -> FilterPropertyR
 # ---------------------------------------------------------------------------
 # interpolation-constant estimation
 # ---------------------------------------------------------------------------
-
-_ANALYTIC_C1_BOUND = {
-    SPECTRAL_PROJECTION: 1.0 / math.pi,
-    CELL_AVERAGE: math.sqrt(2.0) / math.pi,  # Poincare on a square cell (diam / pi)
-    DIFFERENTIAL_FILTER: 0.5,
-}
-
 
 @dataclass(frozen=True)
 class ApproxConstants:
@@ -271,4 +270,4 @@ def estimate_c1(
         if g == 0:
             continue
         worst = max(worst, l2_norm(w - op.apply(w)) / (op.h * g))
-    return ApproxConstants(c1=worst, analytic_bound=_ANALYTIC_C1_BOUND[op.kind], samples=ensemble)
+    return ApproxConstants(c1=worst, analytic_bound=op.c1_bound, samples=ensemble)

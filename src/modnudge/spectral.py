@@ -9,7 +9,9 @@ normalized so that
 
 which makes the coefficients coincide with the analytic Fourier series
 of the field.  Real-valuedness is structural: the missing half of the
-spectrum is implied by Hermitian symmetry.  The transforms are
+spectrum is implied by Hermitian symmetry.  One container, `Field`,
+holds such blocks; `ScalarField` and `SpectralVectorField` differ only
+in the leading shape, () or (2,).  The transforms are
 `numpy.fft` calls (numpy >= 2 ships the same pocketfft as scipy), laid
 out so that they reproduce `scipy.fft` bit for bit; a test holds them
 to that.
@@ -233,92 +235,67 @@ def _symmetrize_edges(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar field on a TorusGrid, stored spectrally."""
+class Field:
+    """Real field on a TorusGrid, stored spectrally with coefficients of
+    shape `leading + grid.coeff_shape`; arithmetic keeps the class."""
 
     grid: TorusGrid
     coeffs: np.ndarray
     time: float = 0.0
 
+    leading = ()
+
     @classmethod
-    def from_grid(cls, grid: TorusGrid, values: np.ndarray, time: float = 0.0) -> "ScalarField":
+    def from_grid(cls, grid: TorusGrid, values: np.ndarray, time: float = 0.0):
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n, grid.n):
-            raise ValueError(f"expected values of shape {(grid.n, grid.n)}, got {values.shape}")
+        shape = cls.leading + (grid.n, grid.n)
+        if values.shape != shape:
+            raise ValueError(f"expected values of shape {shape}, got {values.shape}")
         f = cls(grid, _readonly(grid.to_coeffs(values)), time)
         f.__dict__["values"] = _readonly(values.copy())
         return f
 
     @classmethod
-    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray, time: float = 0.0) -> "ScalarField":
+    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray, time: float = 0.0):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != grid.coeff_shape:
-            raise ValueError(f"expected coeffs of shape {grid.coeff_shape}, got {coeffs.shape}")
+        shape = cls.leading + grid.coeff_shape
+        if coeffs.shape != shape:
+            raise ValueError(f"expected coeffs of shape {shape}, got {coeffs.shape}")
         return cls(grid, _readonly(_symmetrize_edges(grid, coeffs)), time)
+
+    @classmethod
+    def zero(cls, grid: TorusGrid, time: float = 0.0):
+        return cls(grid, _readonly(np.zeros(cls.leading + grid.coeff_shape, dtype=complex)), time)
 
     @cached_property
     def values(self) -> np.ndarray:
         return _readonly(self.grid.to_values(self.coeffs))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, _readonly(self.coeffs + other.coeffs), self.time)
+    def __add__(self, other):
+        return type(self)(self.grid, _readonly(self.coeffs + other.coeffs), self.time)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, _readonly(self.coeffs - other.coeffs), self.time)
+    def __sub__(self, other):
+        return type(self)(self.grid, _readonly(self.coeffs - other.coeffs), self.time)
 
-    def __mul__(self, s: float) -> "ScalarField":
-        return ScalarField(self.grid, _readonly(self.coeffs * s), self.time)
+    def __mul__(self, s: float):
+        return type(self)(self.grid, _readonly(self.coeffs * s), self.time)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralVectorField:
-    """Real 2-component vector field on a TorusGrid, stored spectrally.
+class ScalarField(Field):
+    """Real scalar field; coeffs has shape (n, n//2+1)."""
+
+
+class SpectralVectorField(Field):
+    """Real 2-component vector field; coeffs has shape (2, n, n//2+1).
 
     Dynamical states are kept zero-mean and (for velocities) divergence
     free; both are invariants of the evolution operators rather than of
     the container, and diagnostics below let tests assert them.
     """
 
-    grid: TorusGrid
-    coeffs: np.ndarray  # shape (2, n, n//2+1)
-    time: float = 0.0
-
-    @classmethod
-    def from_grid(cls, grid: TorusGrid, values: np.ndarray, time: float = 0.0) -> "SpectralVectorField":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (2, grid.n, grid.n):
-            raise ValueError(f"expected values of shape {(2, grid.n, grid.n)}, got {values.shape}")
-        f = cls(grid, _readonly(grid.to_coeffs(values)), time)
-        f.__dict__["values"] = _readonly(values.copy())
-        return f
-
-    @classmethod
-    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray, time: float = 0.0) -> "SpectralVectorField":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (2,) + grid.coeff_shape:
-            raise ValueError(f"expected coeffs of shape {(2,) + grid.coeff_shape}, got {coeffs.shape}")
-        return cls(grid, _readonly(_symmetrize_edges(grid, coeffs)), time)
-
-    @classmethod
-    def zero(cls, grid: TorusGrid, time: float = 0.0) -> "SpectralVectorField":
-        return cls(grid, _readonly(np.zeros((2,) + grid.coeff_shape, dtype=complex)), time)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _readonly(self.grid.to_values(self.coeffs))
-
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, _readonly(self.coeffs + other.coeffs), self.time)
-
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, _readonly(self.coeffs - other.coeffs), self.time)
-
-    def __mul__(self, s: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, _readonly(self.coeffs * s), self.time)
-
-    __rmul__ = __mul__
+    leading = (2,)
 
     def mean(self) -> np.ndarray:
         return self.coeffs[:, 0, 0].real.copy()
@@ -326,9 +303,6 @@ class SpectralVectorField:
     def max_divergence(self) -> float:
         """L2 norm of div(self); zero to roundoff for solenoidal fields."""
         return l2_norm(divergence(self))
-
-
-Field = ScalarField | SpectralVectorField
 
 
 def hermitian_defect(f: Field) -> float:

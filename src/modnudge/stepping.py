@@ -121,6 +121,19 @@ def check_scheme_operator(name: str, op: ObservationOperator):
         )
 
 
+def check_step_params(k: float, chi: float = 0.0, nu: float | None = None, tol: float | None = None):
+    """Refuse a time step k <= 0, a nudging strength chi < 0, a viscosity
+    nu <= 0 or a Krylov tolerance outside (0, 1e-4]; nu and tol when given."""
+    if not k > 0:
+        raise ValueError(f"time step k must be positive, got {k!r}")
+    if not chi >= 0:
+        raise ValueError(f"nudging strength chi must be nonnegative, got {chi!r}")
+    if nu is not None and not nu > 0:
+        raise ValueError(f"viscosity nu must be positive, got {nu!r}")
+    if tol is not None and not 0 < tol <= 1e-4:
+        raise ValueError(f"solver tolerance must lie in (0, 1e-4], got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Parameters shared by every stepping variant.
@@ -137,14 +150,7 @@ class SchemeConfig:
     solver_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("time step k must be positive")
-        if not self.nu > 0:
-            raise ValueError("viscosity nu must be positive")
-        if self.chi < 0:
-            raise ValueError("nudging strength chi must be nonnegative")
-        if not 0 < self.solver_tol <= 1e-4:
-            raise ValueError("solver_tol must lie in (0, 1e-4]")
+        check_step_params(self.k, self.chi, self.nu, self.solver_tol)
         scheme_rule(self.scheme)
 
     @property
@@ -343,10 +349,7 @@ class TruthIntegrator:
         nu: float,
         solver_tol: float = DEFAULT_SOLVER_TOL,
     ):
-        if not k > 0:
-            raise ValueError("time step k must be positive")
-        if not nu > 0:
-            raise ValueError("viscosity nu must be positive")
+        check_step_params(k, nu=nu, tol=solver_tol)
         self.grid = u0.grid
         self.forcing = forcing
         self.k = k

@@ -263,6 +263,40 @@ class TestErrors:
         assert "chi_list" in capsys.readouterr().err
         assert not (tmp_path / "twin_errors.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--schemes", "2a-implicit,bogus"],
+        ["converge", "--set", "k_list=0.25,0.3"],  # T=2 is no whole number of 0.3 steps
+        ["twin", "--set", "n=16", "--set", "T=0.05"],  # default window 0.025:0.05 is off the grid
+        ["twin", "--set", "n=16", "--set", "T=0.1", "--set", "operator_scale=4",
+         "--set", "chi_list=0,nan"],
+    ], ids=["converge-unknown-scheme", "converge-step-off-T", "twin-off-grid-window",
+            "twin-nan-chi"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["outdir-flag", "env-var"])
+    def test_refused_run_creates_no_output_directory(
+            self, tmp_path, monkeypatch, capsys, argv, via_env):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MODNUDGE_OUTDIR", raising=False)
+        if via_env:
+            monkeypatch.setenv("MODNUDGE_OUTDIR", "DIR")
+        else:
+            argv = [*argv, "--outdir", "DIR"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,driver", [
+        ("converge", "run_converge"), ("twin", "run_twin"),
+    ])
+    def test_unwritable_outdir_fails_before_the_first_step(
+            self, tmp_path, monkeypatch, capsys, command, driver):
+        monkeypatch.delenv("MODNUDGE_OUTDIR", raising=False)
+        calls = []
+        monkeypatch.setattr(ex, driver, lambda *a, **kw: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, "--outdir", str(blocker / "DIR")]) == 2
+        assert calls == [] and capsys.readouterr().err.startswith("error: ")
+
     def test_empty_override_value_returns_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("MODNUDGE_OUTDIR", raising=False)

@@ -103,8 +103,9 @@ class TestValidation:
             RunConfig(n=64, scheme="2a-implicit", operator=kind, operator_scale=scale)
 
     def test_horizon_must_be_step_multiple(self):
-        with pytest.raises(ValueError, match="integer number of steps"):
-            RunConfig(k=0.3, T=1.0)
+        for T in (1.0, float("inf")):
+            with pytest.raises(ValueError, match="integer number of steps"):
+                RunConfig(k=0.3, T=T)
 
     def test_truth_step_must_divide(self):
         with pytest.raises(ValueError, match="evenly divide"):

@@ -67,20 +67,26 @@ class TestAdvance:
         assert state.time == pytest.approx(0.05)
 
 
+def manufactured_config(**kw):
+    return RunConfig(**{"n": 32, "nu": 1.0, "k": 0.1, "T": 0.5, "operator_scale": 8.0, **kw})
+
+
 class TestManufacturedConvergence:
     def test_error_halves_with_k(self):
-        e_coarse = ex.manufactured_error("2a-explicit", n=32, k=0.1, T=0.5, nu=1.0, chi=100.0)
-        e_fine = ex.manufactured_error("2a-explicit", n=32, k=0.05, T=0.5, nu=1.0, chi=100.0)
+        cfg = manufactured_config(chi=100.0)
+        e_coarse = ex.manufactured_error(cfg, "2a-explicit", 0.1)
+        e_fine = ex.manufactured_error(cfg, "2a-explicit", 0.05)
         assert 1.6 < e_coarse / e_fine < 2.4
 
     def test_chi_zero_baseline_converges_too(self):
-        e_coarse = ex.manufactured_error("none", n=32, k=0.1, T=0.5, nu=1.0, chi=0.0)
-        e_fine = ex.manufactured_error("none", n=32, k=0.05, T=0.5, nu=1.0, chi=0.0)
+        cfg = manufactured_config(chi=0.0)
+        e_coarse = ex.manufactured_error(cfg, "none", 0.1)
+        e_fine = ex.manufactured_error(cfg, "none", 0.05)
         assert 1.6 < e_coarse / e_fine < 2.4
 
     def test_rejects_nonintegral_horizon(self):
         with pytest.raises(ValueError, match="integer"):
-            ex.manufactured_error("none", n=16, k=0.3, T=1.0, nu=1.0, chi=0.0)
+            ex.manufactured_error(manufactured_config(n=16, T=1.0, chi=0.0), "none", 0.3)
 
     def test_run_converge_rates_and_structure(self):
         cfg = RunConfig(n=32, nu=1.0, k=0.1, T=0.5, chi=100.0,

@@ -1,8 +1,11 @@
 """Stepper checks: manufactured-solution accuracy, energy behavior, BDF2, Krylov starts."""
 
 import ast
+import importlib
+import inspect
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,12 +327,34 @@ class TestStabilityLedger:
         self.run_ledger("none", chi=0.0)
 
 
-def scheme_decisions(source: str) -> list[int]:
-    """The lines that compare a value with a scheme-name literal (==, !=, in, not
-    in) or build a tuple, list, set or dict of scheme-name literals."""
-    names = {s.name for s in st.SCHEMES}
+SCHEME_NAMES = {s.name for s in st.SCHEMES}
+KIND_NAMES = {obs.SPECTRAL_PROJECTION, obs.CELL_AVERAGE, obs.DIFFERENTIAL_FILTER}
+
+
+def constants_holding(names) -> set[str]:
+    """Module-level names in the package bound to one of `names`, or to a
+    tuple, list, set or frozenset of them."""
+    package = Path(st.__file__).parent
+    out = set()
+    for path in package.rglob("*.py"):
+        module = importlib.import_module(f"modnudge.{path.stem}" if path.stem != "__init__"
+                                         else "modnudge")
+        for attr, value in vars(module).items():
+            items = value if isinstance(value, (tuple, list, set, frozenset)) else [value]
+            if items and all(isinstance(v, str) and v in names for v in items):
+                out.add(attr)
+    return out
+
+
+def decisions(source: str, names) -> list[int]:
+    """The lines that compare a value with one of `names` (==, !=, in, not in),
+    as a literal or through a package constant that holds it, or build a
+    tuple, list, set or dict of them."""
+    constants = constants_holding(names)
 
     def named(node):
+        if isinstance(node, ast.Name):
+            return node.id in constants
         return isinstance(node, ast.Constant) and isinstance(node.value, str) \
             and node.value in names
 
@@ -350,13 +375,32 @@ def scheme_decisions(source: str) -> list[int]:
     return sorted(set(lines))
 
 
+def package_decisions(names, exempt=lambda path, line: False) -> list[str]:
+    package = Path(st.__file__).parent
+    return [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
+            for line in decisions(path.read_text(), names) if not exempt(path, line)]
+
+
 def test_no_module_decides_by_scheme_name():
     """Every scheme decision reads `stepping.SCHEMES`; the table's own records
     hold the names as call arguments, which the guard does not flag."""
-    package = Path(st.__file__).parent
-    found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
-             for line in scheme_decisions(path.read_text())]
-    assert found == []
+    assert package_decisions(SCHEME_NAMES) == []
+
+
+def test_no_module_outside_the_kind_table_decides_by_operator_kind():
+    """`observers._FACTORIES` is the one kind -> factory table; every other
+    operator decision reads a fact its factory set on the operator
+    (`idempotent`, `c1_bound`, `diagonal`).  The condlab coarse kinds are
+    different assembly algorithms and not among these names."""
+    source = Path(obs.__file__).read_text()
+    table = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_FACTORIES"])
+
+    def in_table(path, line):
+        return path.name == "observers.py" and table.lineno <= line <= table.end_lineno
+
+    assert decisions(source, KIND_NAMES) != []  # the table itself is seen
+    assert package_decisions(KIND_NAMES, exempt=in_table) == []
 
 
 def test_scheme_guard_flags_each_kind_of_decision():
@@ -368,5 +412,61 @@ def test_scheme_guard_flags_each_kind_of_decision():
         'e = {"2b": 1}\n'
         'f = Scheme("2b", fused=False)\n'
         'g = kind == "cell-average"\n'
+        'h = op.kind != DIFFERENTIAL_FILTER\n'
+        'i = kind in (SPECTRAL_PROJECTION, CELL_AVERAGE)\n'
+        'j = {CELL_AVERAGE: 1.0}\n'
+        'k = ObservationOperator(kind=CELL_AVERAGE)\n'
     )
-    assert scheme_decisions(planted) == [1, 2, 3, 4, 5]
+    assert decisions(planted, SCHEME_NAMES | KIND_NAMES) == [1, 2, 3, 4, 5, 7, 8, 9, 10]
+    assert decisions(planted, SCHEME_NAMES) == [1, 2, 3, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# one step-parameter check
+# ---------------------------------------------------------------------------
+
+GOOD_STEP = {"k": 0.1, "chi": 1.0, "nu": 0.5, "tol": 1e-10}
+BAD_STEP = {"k": (0.0, -0.1, math.nan), "chi": (-1.0, math.nan), "nu": (0.0, -1.0, math.nan),
+            "tol": (0.0, 1e-3, math.nan)}
+
+# every entry point that takes step parameters, called with the ones it accepts
+STEP_ENTRIES = {
+    "SchemeConfig": lambda f, k, chi, nu, tol: st.SchemeConfig(k=k, nu=nu, chi=chi, solver_tol=tol),
+    "TruthIntegrator": lambda f, k, nu, tol: st.TruthIntegrator(f.u, f.forcing, k, nu,
+                                                                solver_tol=tol),
+    "step2a_explicit": lambda f, k, chi: da.step2a_explicit(f.vt, f.obs, f.op, k, chi),
+    "step2a_implicit": lambda f, k, chi, tol: da.step2a_implicit(f.vt, f.obs, f.op, k, chi,
+                                                                 tol=tol),
+    "step2b": lambda f, k, chi, nu, tol: da.step2b(f.vt, f.obs, f.op, k, chi, nu, tol=tol),
+    "verify_form_b": lambda f, k, chi: da.verify_form_b(f.vt, f.u, f.u, f.op, k, chi),
+}
+
+
+def accepted_params(entry) -> list[str]:
+    return list(inspect.signature(STEP_ENTRIES[entry]).parameters)[1:]
+
+
+@pytest.fixture(scope="module")
+def step_fields():
+    grid = sp.get_grid(8)
+    rng = np.random.default_rng(3)
+    u, vt = sp.random_divfree_field(grid, rng), sp.random_divfree_field(grid, rng)
+    op = obs.make_spectral_projection(grid, 2)
+    return SimpleNamespace(u=u, vt=vt, op=op, obs=op.apply(u),
+                           forcing=lambda t: sp.SpectralVectorField.zero(grid, t))
+
+
+@pytest.mark.parametrize("entry,param,bad", [
+    (entry, param, bad) for entry in STEP_ENTRIES for param in accepted_params(entry)
+    for bad in BAD_STEP[param]
+])
+def test_every_entry_refuses_a_bad_step_parameter_with_the_shared_message(
+        step_fields, entry, param, bad):
+    call = STEP_ENTRIES[entry]
+    good = {p: GOOD_STEP[p] for p in accepted_params(entry)}
+    call(step_fields, **good)
+    with pytest.raises(ValueError) as shared:
+        st.check_step_params(**{**GOOD_STEP, param: bad})
+    with pytest.raises(ValueError) as refused:
+        call(step_fields, **{**good, param: bad})
+    assert str(refused.value) == str(shared.value)
