@@ -24,6 +24,7 @@ from .config import (
     _parse_float_list,
     _parse_windows,
     apply_overrides,
+    check_entries,
     default_config,
     default_windows,
     load_config,
@@ -158,8 +159,7 @@ def cmd_horizon(args) -> int:
             raise ValueError(f"variants {missing} not present in {args.series}")
         series_by_name = {v: series_by_name[v] for v in args.variant}
     epsilons = _parse_float_list(args.epsilons)
-    if not epsilons:
-        raise ValueError(f"--epsilons {args.epsilons!r}: need at least one threshold")
+    check_entries("--epsilons", epsilons)
     rows = []
     for name, series in series_by_name.items():
         windows = (

@@ -17,17 +17,20 @@ and, through the Sherman-Morrison-Woodbury identity, a small
 coarse-sized matrix whose solve applies the reduced inverse.  With
 those it applies the reduced operator without an inner iteration, takes
 the condition number from the extreme eigenvalues of the reduced matrix
-(assembled densely from the same pieces, one LAPACK call), and compares
-the implicit solve (the analysis increment through the coarse-sized
-solve) to the closed-form gain update -- which is exact precisely when
-the coarse space is nested in the fine one, so the composed projection
-is idempotent.
+(roots of small secular equations in the fine sine basis, where the
+fine mass matrix is diagonal and the coarse term a low-rank update),
+and compares the implicit solve (the analysis increment through the
+coarse-sized solve) to the closed-form gain update -- which is exact
+precisely when the coarse space is nested in the fine one, so the
+composed projection is idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space; a mesh is its sorted node array, its elements the gaps between
 nodes.  Dimensions stay desk-scale (at most MAX_DIMENSION fine
-unknowns), so the dense eigenvalue problem fits in memory, and a second
-dense oracle, built another way, checks it on small systems.  numpy is
+unknowns): the coupling B and the blocks kept per assembly are dense
+fine-by-coarse arrays, and the secular matrices grow towards fine-sized
+ones as the coarse element count nears the fine one.  A dense oracle,
+built another way, checks the eigenvalues on small systems.  numpy is
 the only dependency.
 """
 
@@ -91,7 +94,8 @@ class UniformMass:
         return out
 
     def toarray(self) -> np.ndarray:
-        """Dense matrix: oracles on small systems, and the coarse term of K."""
+        """Dense matrix: oracles on small systems, and the coarse term of K and
+        of the secular matrices."""
         n = self.size
         a = np.zeros((n, n))
         a.flat[:: n + 1] = self.diag
@@ -99,14 +103,18 @@ class UniformMass:
         a.flat[n :: n + 1] = self.off
         return a
 
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalue of sine mode k = 1..size, decreasing for hats."""
+        k = np.arange(1, self.size + 1)
+        return self.diag + 2.0 * self.off * np.cos(np.pi * k / (self.size + 1))
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """This matrix's inverse applied to rhs, a vector or the columns of a block."""
         if not self.hats:
             return rhs / self.diag
         n = self.size
-        k = np.arange(1, n + 1).reshape(n, *(1,) * (rhs.ndim - 1))
         # eigenvalues times 2 (n + 1), the square of the transform's norm
-        scale = (self.diag + 2.0 * self.off * np.cos(np.pi * k / (n + 1))) * (2.0 * (n + 1))
+        scale = self.eigenvalues().reshape(n, *(1,) * (rhs.ndim - 1)) * (2.0 * (n + 1))
         x = _sine_transform(_sine_transform(rhs) / scale)
         return x + _sine_transform(_sine_transform(rhs - self @ x) / scale)
 
@@ -200,8 +208,8 @@ def check_mesh(fine_n: int, coarse_m: int, kind: str):
 
 def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperatorSet:
     check_mesh(fine_n, coarse_m, kind)
-    if k_chi < 0:
-        raise ValueError("k_chi must be nonnegative")
+    if not 0 <= k_chi < math.inf:
+        raise ValueError(f"k_chi must be finite and nonnegative, got {k_chi!r}")
     fine = np.linspace(0.0, 1.0, fine_n + 1)
     coarse = np.linspace(0.0, 1.0, coarse_m + 1)
     mh = UniformMass(fine_n - 1, 1.0 / fine_n)
@@ -302,24 +310,153 @@ def dense_condition(ops: FemOperatorSet) -> ConditionEstimate:
     return ConditionEstimate(float(vals[-1]), float(vals[0]))
 
 
-def estimate_condition(ops: FemOperatorSet, out: np.ndarray | None = None) -> ConditionEstimate:
+_EPS = float(np.finfo(float).eps)
+_ROOT_TOL = 1e-14  # relative Newton step at which a root has converged
+_MAX_ROOT_STEPS = 200
+
+
+class _SineForm:
+    """The reduced matrix in the fine sine basis, D + k_chi W MH^{-1} W^T.
+
+    D holds the fine mass eigenvalues d in decreasing order and W = Q^T B,
+    with Q the orthonormal sine basis.  The update has rank at most m, the
+    coarse dimension, so the eigenvalues of this n x n matrix are read off
+    small secular matrices (Golub 1973; Bunch, Nielsen & Sorensen 1978):
+
+    - G(lam) = MH + k_chi W^T (D - lam)^{-1} W, m x m, for lam > d[0].  It
+      is singular exactly at the eigenvalues above d[0], increases with
+      lam, and is positive definite once lam exceeds them all.
+    - F_j(lam) = (lam - D_L) / k_chi - W_L G_A(lam)^{-1} W_L^T, j x j, for
+      lam below every d outside L, the j smallest.  G_A is G over the other
+      rows, positive definite there.  By inertia additivity (Haynsworth) on
+      [[D - lam, W], [W^T, -MH / k_chi]], F_j has as many positive
+      eigenvalues as the reduced matrix has eigenvalues below lam, and it
+      increases with lam, with no pole left in that range.
+
+    `upper` and `lower` return the eigenvalue of G or F_j that crosses zero
+    at the extreme eigenvalue, its derivative in lam, and the rounding
+    level of that value.
+    """
+
+    def __init__(self, ops: FemOperatorSet):
+        self.k_chi = ops.k_chi
+        self.d = ops.mh.eigenvalues()
+        self.w = _sine_transform(ops.b) / -math.sqrt(2.0 * (ops.dim + 1))
+        self.mH = ops.mH.toarray()
+
+    def _coupled(self, lam: float, rows: int) -> np.ndarray:
+        """k_chi W^T (D - lam)^{-1} W over the first `rows` rows of W."""
+        w = self.w[:rows]
+        return self.k_chi * (w.T @ (w / (self.d[:rows] - lam)[:, None]))
+
+    def upper(self, lam: float) -> tuple[float, float, float]:
+        """Smallest eigenvalue of G(lam), lam > d[0], with its derivative
+        k_chi |(lam - D)^{-1} W v|^2, v its unit eigenvector."""
+        coupled = self._coupled(lam, self.d.size)
+        vals, vecs = np.linalg.eigh(self.mH + coupled)
+        z = (self.w @ vecs[:, 0]) / (self.d - lam)
+        noise = _EPS * self.mH.shape[0] * (self.mH.max() + np.abs(coupled).max())
+        return vals[0], self.k_chi * (z @ z), noise
+
+    def _lower_matrix(self, lam: float, j: int):
+        """F_j(lam), the number of rows of A, G_A^{-1} W_L^T and F_j's scale."""
+        rows = self.d.size - j
+        w_low = self.w[rows:]
+        y = np.linalg.solve(self.mH + self._coupled(lam, rows), w_low.T)
+        gap = (lam - self.d[rows:]) / self.k_chi
+        coupled = w_low @ y
+        scale = np.abs(gap).max() + np.abs(coupled).max()
+        return np.diag(gap) - coupled, rows, y, scale
+
+    def lower(self, lam: float, j: int) -> tuple[float, float, float]:
+        """Largest eigenvalue of F_j(lam), with its derivative
+        1 / k_chi + k_chi |(D_A - lam)^{-1} W_A G_A^{-1} W_L^T v|^2."""
+        f, rows, y, scale = self._lower_matrix(lam, j)
+        vals, vecs = np.linalg.eigh(f)
+        z = (self.w[:rows] @ (y @ vecs[:, -1])) / (self.d[:rows] - lam)
+        return vals[-1], 1.0 / self.k_chi + self.k_chi * (z @ z), _EPS * j * scale
+
+    def count_below(self, lam: float) -> int:
+        """How many eigenvalues of the reduced matrix lie below lam."""
+        j = int(np.count_nonzero(self.d <= lam))
+        if j == 0:  # the update is semidefinite: nothing lies below d[-1]
+            return 0
+        return int(np.count_nonzero(np.linalg.eigvalsh(self._lower_matrix(lam, j)[0]) > 0))
+
+
+def _increasing_root(evaluate, lo: float, hi: float, lam: float, pole: float = -math.inf) -> float:
+    """Zero in [lo, hi] of an increasing function, starting from lam.
+
+    `evaluate` returns the value, its derivative and its rounding level.
+    Each step is Newton's on (lam - pole) * value, whose root is the same
+    and which stays nearly linear where the value has a simple pole at
+    `pole` (-inf: none).  A step is clipped to the bracket, and one that
+    gains nothing or fails to halve the previous step bisects instead.
+    Stops when the value is down to its rounding level or the step or the
+    bracket is below _ROOT_TOL relative.
+    """
+    last = math.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        if hi <= lo:
+            return hi
+        val, slope, noise = evaluate(lam)
+        if val > 0:
+            hi = lam
+        else:
+            lo = lam
+        step = val / (slope + val / (lam - pole))
+        if abs(val) <= noise or abs(step) <= _ROOT_TOL * abs(lam):
+            return lam - step
+        nxt = min(max(lam - step, lo), hi)
+        if nxt in (lam, pole) or abs(nxt - lam) > 0.5 * last:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= _ROOT_TOL * abs(lam):
+                return nxt
+        last = abs(nxt - lam)
+        lam = nxt
+    raise ArithmeticError(f"no root in [{lo!r}, {hi!r}] after {_MAX_ROOT_STEPS} steps")
+
+
+def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
     """Extreme eigenvalues of the reduced operator, hence its condition number.
 
-    S = Mh + k_chi B MH^{-1} B^T is built densely from the pieces
-    `reduced_apply` uses, in one n x n buffer (`out` when given), and
-    LAPACK's symmetric eigenvalue solver (numpy's `eigvalsh`, which reads
-    the lower triangle of a copy) returns its spectrum, exact to roundoff.
+    S = Mh + k_chi B MH^{-1} B^T is Mh, diagonal in the fine sine basis,
+    plus an update of rank at most m, so both extreme eigenvalues are
+    roots of the small secular matrices of `_SineForm`, found to roundoff
+    by safeguarded Newton steps; no n x n matrix is built on meshes with
+    few coarse elements.
+    - lambda_max is the root of G's smallest eigenvalue in Weyl's bracket
+      [max(d_max, d_min + k_chi mu), d_max + k_chi mu], with mu the
+      largest eigenvalue of W MH^{-1} W^T.
+    - lambda_min is bracketed by counting the eigenvalues below the 2nd,
+      4th, 8th, ... smallest fine mass eigenvalue, and is then the root of
+      the largest eigenvalue of F_j, j the index that bracketed it: 2 when
+      fem_m is small against fem_n, up to n as fem_m nears fem_n, where
+      each step costs an n x n eigenvalue problem.
+    At k_chi = 0 both are fine mass eigenvalues, in closed form.
     `dense_condition` is the independently built oracle for desk-scale
     systems.
     """
-    n = ops.dim
-    s = np.matmul(ops.b, ops.mH_inv_bt, out=out)
-    s *= ops.k_chi
-    s.flat[:: n + 1] += ops.mh.diag
-    s.flat[1 :: n + 1] += ops.mh.off
-    s.flat[n :: n + 1] += ops.mh.off
-    vals = np.linalg.eigvalsh(s)
-    return ConditionEstimate(float(vals[-1]), float(vals[0]))
+    if ops.k_chi == 0.0:
+        d = ops.mh.eigenvalues()
+        return ConditionEstimate(float(d[0]), float(d[-1]))
+    form = _SineForm(ops)
+    d, k_chi = form.d, ops.k_chi
+    chol = np.linalg.cholesky(form.mH)
+    half = np.linalg.solve(chol, form.w.T @ form.w)
+    mu = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1]  # of MH^-1/2 W^T W MH^-1/2
+    top = d[0] + k_chi * mu  # Weyl's bound, above lambda_min too
+    lam_max = _increasing_root(form.upper, max(d[0], d[-1] + k_chi * mu), top, top, pole=d[0])
+
+    n, lo, j = d.size, d[-1], min(2, d.size)
+    while form.count_below(d[n - j]) == 0:
+        lo = d[n - j]
+        if j == n:
+            break
+        j = min(2 * j, n)
+    hi = d[n - j] if d[n - j] > lo else top
+    lam_min = _increasing_root(lambda lam: form.lower(lam, j), lo, hi, lo)
+    return ConditionEstimate(float(lam_max), float(lam_min))
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +484,9 @@ def condition_sweep(
 ) -> list[SweepRow]:
     rows = []
     rng = np.random.default_rng(seed)
-    work = None
     for k_chi in k_chi_values:
         ops = assemble(fine_n, coarse_m, kind, float(k_chi))
-        # every point builds its reduced matrix in one buffer: a fresh one,
-        # freed together with eigvalsh's copy, would let the allocator return
-        # both to the OS and fault their pages in again at the next point
-        if work is None:
-            work = np.empty((ops.dim, ops.dim))
-        est = estimate_condition(ops, work)
+        est = estimate_condition(ops)
         vtilde = rng.standard_normal(ops.dim)
         obs = rng.standard_normal(ops.dim)
         v_imp = solve_step2_fem(ops, vtilde, obs)

@@ -80,20 +80,16 @@ class RunConfig:
             ratio = round(self.k / self.k_truth)
             if ratio < 1 or abs(ratio * self.k_truth - self.k) > 1e-9 * self.k:
                 raise ValueError("the truth step k_truth must evenly divide k")
-        if not self.chi_list or any(not c >= 0 for c in self.chi_list):
-            raise ValueError("chi_list entries must be nonnegative")
-        if not self.k_list or any(kk <= 0 for kk in self.k_list):
-            raise ValueError("k_list entries must be positive")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+        check_entries("chi_list", self.chi_list, zero_ok=True)
+        check_entries("k_list", self.k_list)
+        check_entries("epsilons", self.epsilons, empty_ok=True)
         for win in self.windows:
             if len(win) != 2 or not win[0] < win[1]:
                 raise ValueError(f"window {win} must be an increasing (start, end) pair")
             if win[0] < 0 or win[1] > self.T + 1e-9:
                 raise ValueError(f"window {win} must lie inside [0, T]")
         check_mesh(self.fem_n, self.fem_m, self.fem_kind)
-        if not self.kchi_list or any(v < 0 for v in self.kchi_list):
-            raise ValueError("kchi_list entries must be nonnegative")
+        check_entries("kchi_list", self.kchi_list, zero_ok=True)
 
     @property
     def truth_step(self) -> float:
@@ -105,6 +101,17 @@ class RunConfig:
 
     def horizon_windows(self) -> tuple[tuple[float, float], ...]:
         return self.windows or default_windows(self.T)
+
+
+def check_entries(name: str, values, zero_ok: bool = False, empty_ok: bool = False):
+    """Refuse an empty list, unless empty_ok, and any entry that is not finite
+    and positive (nonnegative with zero_ok); NaN fails both comparisons."""
+    low = "nonnegative" if zero_ok else "positive"
+    if not (values or empty_ok):
+        raise ValueError(f"{name} needs at least one entry")
+    for v in values:
+        if not (0 <= v < math.inf if zero_ok else 0 < v < math.inf):
+            raise ValueError(f"{name} entries must be finite and {low}, got {v!r}")
 
 
 def step_count(T: float, k: float) -> int:

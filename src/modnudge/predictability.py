@@ -7,7 +7,9 @@ finite-time Lyapunov exponent over a window (T1, T2) is
 
 its doubling time is ln 2 / lambda (read as an error half-life when
 lambda < 0), and the epsilon-horizon is the time for the error to grow
-from its T1 level to a threshold epsilon at that exponential rate.
+from its T1 level to a threshold epsilon at that exponential rate: zero
+when the error is already at or above epsilon, infinite when it is below
+and does not grow.
 Smaller analysis error means smaller lambda means longer horizon; the
 pairing of runs with assimilation on/off quantifies exactly that.
 """
@@ -82,12 +84,13 @@ def doubling_time(lam: float) -> float:
 
 
 def epsilon_horizon(lam: float, err_T1: float, epsilon: float) -> float:
-    """Time for the error to go from err_T1 to epsilon at rate lam."""
-    if epsilon <= 0 or err_T1 <= 0:
-        raise ValueError("epsilon and the starting error must be positive")
-    if epsilon == err_T1:
+    """Time for the error to grow from err_T1 to epsilon at rate lam: 0 when
+    it is already there, infinite when it never gets there (lam <= 0)."""
+    if not 0 < epsilon < math.inf or not err_T1 > 0:
+        raise ValueError("epsilon must be positive and finite, the starting error positive")
+    if err_T1 >= epsilon:
         return 0.0
-    if lam == 0.0:
+    if lam <= 0.0:
         return math.inf
     return math.log(epsilon / err_T1) / lam
 

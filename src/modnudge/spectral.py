@@ -450,12 +450,20 @@ def h1_seminorm(f: Field) -> float:
     return float(math.sqrt(f.grid.length**2 * s))
 
 
+ZERO_MEAN_RTOL = 1e-12
+
+
+def has_zero_mean(f: Field) -> bool:
+    """Whether no component's mean coefficient exceeds ZERO_MEAN_RTOL times
+    the field's largest coefficient: the one test of a zero mean, for the
+    forcing a step takes and the field an H^-1 norm measures."""
+    c = f.coeffs.reshape(-1, *f.grid.coeff_shape)
+    return not np.max(np.abs(c[:, 0, 0])) > ZERO_MEAN_RTOL * (np.max(np.abs(c)) or 1.0)
+
+
 def hminus1_norm(f: Field) -> float:
     """Norm of (-laplace)^(-1/2) f; requires a zero-mean field."""
-    c = f.coeffs.reshape(-1, *f.grid.coeff_shape)
-    mean = np.max(np.abs(c[:, 0, 0]))
-    scale = np.max(np.abs(c)) or 1.0
-    if mean > 1e-13 * scale:
+    if not has_zero_mean(f):
         raise ValueError("H^-1 norm is defined here for zero-mean fields only")
     w = f.grid.hermitian_weights * f.grid.inv_k2
     s = np.sum(w * np.abs(f.coeffs) ** 2)

@@ -64,6 +64,7 @@ from .spectral import (
     _leray_coeffs,
     _readonly,
     h1_seminorm,
+    has_zero_mean,
     hminus1_norm,
     l2_norm,
 )
@@ -216,8 +217,7 @@ class StepResult:
 
 
 def _require_zero_mean(f: SpectralVectorField, what: str):
-    scale = np.max(np.abs(f.coeffs)) or 1.0
-    if np.max(np.abs(f.coeffs[:, 0, 0])) > 1e-12 * scale:
+    if not has_zero_mean(f):
         raise ValueError(f"{what} must have zero mean")
 
 

@@ -147,6 +147,17 @@ class TestHorizon:
         assert "--epsilons" in capsys.readouterr().err
         assert not (tmp_path / "h" / "horizons.csv").exists()
 
+    @pytest.mark.parametrize("epsilons", ["0.1,nan", "inf"])
+    def test_non_finite_epsilon_returns_2_before_the_output_directory(
+            self, tmp_path, capsys, epsilons):
+        series = tmp_path / "twin_errors.csv"
+        series.write_text("variant,t,rel_err\nchi-0,0,0.5\nchi-0,0.1,0.6\nchi-0,0.2,0.7\n")
+        rc = main(["horizon", "--series", str(series), "--windows", "0:0.2",
+                   "--epsilons", epsilons, "--outdir", str(tmp_path / "h")])
+        assert rc == 2
+        assert "--epsilons entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
     def test_unknown_variant_fails(self, tmp_path, capsys):
         assert run_twin_cli(tmp_path) == 0
         rc = main(["horizon", "--series", str(tmp_path / "twin_errors.csv"),
@@ -269,8 +280,12 @@ class TestErrors:
         ["twin", "--set", "n=16", "--set", "T=0.05"],  # default window 0.025:0.05 is off the grid
         ["twin", "--set", "n=16", "--set", "T=0.1", "--set", "operator_scale=4",
          "--set", "chi_list=0,nan"],
+        ["twin", "--set", "n=16", "--set", "T=0.1", "--set", "operator_scale=4",
+         "--set", "epsilons=nan"],
+        ["converge", "--set", "k_list=0.25,nan"],
+        ["condlab", "--set", "fem_n=16", "--set", "fem_m=4", "--set", "kchi_list=1,nan"],
     ], ids=["converge-unknown-scheme", "converge-step-off-T", "twin-off-grid-window",
-            "twin-nan-chi"])
+            "twin-nan-chi", "twin-nan-epsilon", "converge-nan-k", "condlab-nan-kchi"])
     @pytest.mark.parametrize("via_env", [False, True], ids=["outdir-flag", "env-var"])
     def test_refused_run_creates_no_output_directory(
             self, tmp_path, monkeypatch, capsys, argv, via_env):

@@ -104,6 +104,11 @@ class TestAssembly:
         with pytest.raises(ValueError, match="coarse kind"):
             cl.assemble(8, 4, "chebyshev", 1.0)
 
+    @pytest.mark.parametrize("k_chi", [math.nan, math.inf, -1.0])
+    def test_gain_must_be_finite_and_nonnegative(self, k_chi):
+        with pytest.raises(ValueError, match="k_chi must be finite and nonnegative"):
+            cl.assemble(8, 4, "nested-linear", k_chi)
+
 
 class TestMassSolves:
     """The sine-basis solves against LAPACK's dense solve of the same matrix."""
@@ -262,6 +267,55 @@ class TestConditioning:
         est = cl.estimate_condition(ops)
         dn = cl.dense_condition(ops)
         assert abs(est.cond - dn.cond) / dn.cond < 1e-11
+
+    @pytest.mark.parametrize("kind", cl.COARSE_KINDS)
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    @pytest.mark.parametrize("k_chi", [1e-8, 1.0, 1e4, 1e8])
+    def test_extreme_eigenvalues_match_the_dense_oracle(self, kind, m, k_chi):
+        ops = cl.assemble(64, m, kind, k_chi)
+        est = cl.estimate_condition(ops)
+        dn = cl.dense_condition(ops)
+        assert abs(est.lam_max - dn.lam_max) <= 1e-11 * dn.lam_max
+        # eigvalsh itself is accurate to a few eps * lam_max in absolute terms
+        bound = max(1e-11, 8 * np.finfo(float).eps * dn.lam_max / dn.lam_min)
+        assert abs(est.lam_min - dn.lam_min) <= bound * dn.lam_min
+
+    @pytest.mark.parametrize("k_chi", [1e-8, 1.0, 1e4, 1e8])
+    def test_coarse_equal_fine_matches_the_closed_form(self, k_chi):
+        # fem_m = fem_n puts lambda_min above every fine mass eigenvalue at
+        # large k_chi, where the oracle loses eps * cond; both reduced
+        # matrices share the sine basis, so their spectra are known exactly
+        n = 64
+        h, c = 1.0 / n, np.cos(np.pi * np.arange(1, n) / n)
+        s2 = math.sin(0.5 * math.pi / n) ** 2  # (1 - cos(pi / n)) / 2, without cancellation
+        for kind, lam_max, lam_min in (
+            # S = (1 + k_chi) Mh
+            ("nested-linear", (1 + k_chi) * h * (2 + c[0]) / 3, (1 + k_chi) * h * (1 + 2 * s2) / 3),
+            # S = Mh + k_chi tridiag(h/4, h/2, h/4)
+            ("piecewise-constant", h * (2 + c[0]) / 3 + k_chi * h * (1 + c[0]) / 2,
+             h * (1 + 2 * s2) / 3 + k_chi * h * s2),
+        ):
+            est = cl.estimate_condition(cl.assemble(n, n, kind, k_chi))
+            assert est.lam_max == pytest.approx(lam_max, rel=1e-12, abs=0)
+            assert est.lam_min == pytest.approx(lam_min, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n,m,kind,k_chi", [
+        (64, 16, "piecewise-constant", 100.0), (64, 2, "nested-linear", 1e4),
+        (32, 32, "nested-linear", 1.0), (24, 12, "piecewise-constant", 1e-3),
+    ])
+    def test_inertia_count_matches_the_dense_spectrum(self, n, m, kind, k_chi):
+        ops = cl.assemble(n, m, kind, k_chi)
+        vals = np.linalg.eigvalsh(cl.dense_matrix(ops))
+        form = cl._SineForm(ops)
+        lam_min, lam_max = vals[0], vals[-1]
+        probes = [lam_min * (1 - 1e-6), lam_min * (1 + 1e-6), lam_max * (1 - 1e-6),
+                  lam_max * (1 + 1e-6), 2 * lam_max, 0.5 * lam_min]
+        probes += list(0.5 * (vals[1:] + vals[:-1]))  # between neighbours
+        probes += list(form.d)  # at the poles of the secular matrices
+        for lam in probes:
+            if np.min(np.abs(vals - lam)) <= 1e-9 * lam_max:
+                continue  # too close to an eigenvalue for the oracle to tell
+            assert form.count_below(lam) == np.count_nonzero(vals < lam), lam
 
     def test_condition_above_the_oracle_cap_is_the_closed_form(self):
         # 1023 unknowns: more than dense_matrix builds, so this runs only

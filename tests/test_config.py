@@ -123,6 +123,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="chi_list"):
             apply_overrides(RunConfig(), ["chi_list="])
 
+    @pytest.mark.parametrize("key,good", [
+        ("chi_list", "0,1"), ("k_list", "0.5,0.25"), ("epsilons", "0.1"), ("kchi_list", "0,1"),
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    def test_list_entries_must_be_finite(self, key, good, bad):
+        cfg = apply_overrides(RunConfig(), [f"{key}={good}"])
+        with pytest.raises(ValueError, match=f"{key} entries must be finite"):
+            apply_overrides(cfg, [f"{key}={good},{bad}"])
+
+    @pytest.mark.parametrize("key", ["k_list", "epsilons"])
+    def test_zero_is_refused_where_entries_must_be_positive(self, key):
+        with pytest.raises(ValueError, match="finite and positive"):
+            apply_overrides(RunConfig(), [f"{key}=0.5,0"])
+
     def test_window_outside_horizon(self):
         with pytest.raises(ValueError, match="inside"):
             RunConfig(T=25.0, windows=((10.0, 30.0),))

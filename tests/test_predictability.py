@@ -76,6 +76,23 @@ class TestHorizons:
     def test_threshold_already_reached(self):
         assert pred.epsilon_horizon(0.3, 0.25, 0.25) == 0.0
 
+    @pytest.mark.parametrize("lam", [0.5, 0.0, -0.5])
+    def test_error_above_the_threshold_has_reached_it(self, lam):
+        assert pred.epsilon_horizon(lam, 0.2, 0.1) == 0.0
+
+    def test_decaying_error_below_the_threshold_never_reaches_it(self):
+        assert pred.epsilon_horizon(-0.5, 0.01, 1.0) == math.inf
+
+    def test_decaying_report_has_an_infinite_horizon(self):
+        s = series([0.0, 1.0, 2.0], [0.4, 0.2, 0.1])
+        rep = pred.horizon_report(s, 0.0, 2.0, epsilon=1.0)
+        assert rep.lam < 0 and rep.epsilon_horizon == math.inf
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            pred.epsilon_horizon(0.5, 0.01, epsilon)
+
     def test_smaller_rate_means_longer_horizon(self):
         tau_fast = pred.epsilon_horizon(0.8, 0.01, 1.0)
         tau_slow = pred.epsilon_horizon(0.2, 0.01, 1.0)

@@ -89,6 +89,28 @@ class TestForecast:
         with pytest.raises(ValueError, match="zero mean"):
             st.step1_forecast(state, bad)
 
+    @pytest.mark.parametrize("mean,accepted", [(5e-13, True), (5e-12, False)])
+    def test_step_and_ledger_agree_on_a_small_mean(self, mean, accepted):
+        # one bound for both: a forcing the step takes is one the ledger measures
+        grid = sp.get_grid(16)
+        rng = np.random.default_rng(3)
+        v = sp.random_divfree_field(grid, rng)
+        c = sp.random_divfree_field(grid, rng).coeffs.copy()
+        c[0, 0, 0] = mean * np.max(np.abs(c))
+        f = sp.SpectralVectorField.from_coeffs(grid, c)
+        state = make_state(grid, v)
+        ledger = st.StabilityLedger.start(v)
+        verdicts = []
+        for record in (lambda: st.step1_forecast(state, f),
+                       lambda: ledger.record_forecast(v, v, f, 0.1, 1.0)):
+            try:
+                record()
+                verdicts.append(True)
+            except ValueError as exc:
+                assert "zero mean" in str(exc) or "zero-mean" in str(exc)
+                verdicts.append(False)
+        assert verdicts == [accepted, accepted]
+
     def test_true_residual_meets_tolerance(self):
         grid = sp.get_grid(32)
         rng = np.random.default_rng(2)
