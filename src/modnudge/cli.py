@@ -6,7 +6,9 @@ one-line header into the output directory.  ``--plot-data`` additionally
 emits two-column files, one curve per file.  The MODNUDGE_OUTDIR
 environment variable overrides the output directory of every subcommand.
 
-Identical config and seed produce bit-identical CSV outputs.
+Identical config and seed produce bit-identical CSV outputs for a fixed
+BLAS thread count (multithreaded reductions sum in a thread-dependent
+order); the default ``condlab.csv`` does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from . import condlab, fileio
 from . import experiments as ex
 from .config import (
+    HORIZON_EPSILON,
     RunConfig,
     _parse_float_list,
     _parse_windows,
@@ -255,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", help="FTLE windows, e.g. 10:15,15:20 (default: as for twin)")
     p.add_argument(
         "--epsilons",
-        default="0.1",
-        help="comma list of relative-error thresholds (default 0.1)",
+        default=repr(HORIZON_EPSILON),
+        help="comma list of relative-error thresholds (default %(default)s, as for twin)",
     )
     p.add_argument("--outdir", metavar="DIR", help="output directory (default .)")
     p.set_defaults(func=cmd_horizon)

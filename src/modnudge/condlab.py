@@ -11,23 +11,25 @@ bases.  This module assembles those operators exactly (two-point Gauss
 on the union of element breakpoints).  On the uniform meshes it builds,
 both mass matrices are diagonal in the discrete sine basis, so their
 solves are sine transforms (FFTs of the odd extension) around a
-division by known eigenvalues.  Once per assembly it keeps the
-coarse-by-fine block MH^{-1} B^T, the fine-by-coarse block Mh^{-1} B
-and, through the Sherman-Morrison-Woodbury identity, a small
-coarse-sized matrix whose solve applies the reduced inverse.  With
-those it applies the reduced operator without an inner iteration, takes
-the condition number from the extreme eigenvalues of the reduced matrix
-(roots of small secular equations in the fine sine basis, where the
-fine mass matrix is diagonal and the coarse term a low-rank update),
-and compares the implicit solve (the analysis increment through the
-coarse-sized solve) to the closed-form gain update -- which is exact
-precisely when the coarse space is nested in the fine one, so the
-composed projection is idempotent.
+division by known eigenvalues.  Once per mesh, shared by a sweep's
+k chi points (`FemMesh`), it keeps the coupling B, the coarse-by-fine
+block MH^{-1} B^T, the fine-by-coarse block Mh^{-1} B and the sine-basis
+pieces of the condition estimate; once per k chi point it forms, through
+the Sherman-Morrison-Woodbury identity, a small coarse-sized matrix
+whose solve applies the reduced inverse.  With those it applies the
+reduced operator without an inner iteration, takes the condition number
+from the extreme eigenvalues of the reduced matrix (roots of small
+secular equations in the fine sine basis, where the fine mass matrix is
+diagonal and the coarse term a low-rank update), and compares the
+implicit solve (the analysis increment through the coarse-sized solve)
+to the closed-form gain update -- which is exact precisely when the
+coarse space is nested in the fine one, so the composed projection is
+idempotent.
 
 Everything runs on [0, 1] with zero boundary values for the fine
 space; a mesh is its sorted node array, its elements the gaps between
 nodes.  Dimensions stay desk-scale (at most MAX_DIMENSION fine
-unknowns): the coupling B and the blocks kept per assembly are dense
+unknowns): the coupling B and the blocks kept per mesh are dense
 fine-by-coarse arrays, and the secular matrices grow towards fine-sized
 ones as the coarse element count nears the fine one.  A dense oracle,
 built another way, checks the eigenvalues on small systems.  numpy is
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,30 +166,67 @@ def _coupling(fine: np.ndarray, coarse: np.ndarray, kind: str) -> np.ndarray:
 
 
 @dataclass
-class FemOperatorSet:
-    """Assembled pieces of the reduced analysis system on [0, 1]."""
+class FemMesh:
+    """The k chi-independent half of the reduced system on one mesh pair,
+    built once and shared, read-only, by a sweep's k chi points."""
 
-    k_chi: float
-    mh: UniformMass
-    mH: UniformMass
-    b: np.ndarray
-    # computed once per assembly and read by every apply and solve
-    mH_inv_bt: np.ndarray = field(init=False, repr=False)  # MH^{-1} B^T
-    mh_inv_b: np.ndarray = field(init=False, repr=False)  # Mh^{-1} B
-    # K = MH + k chi B^T Mh^{-1} B; None when k chi = 0
-    woodbury: np.ndarray | None = field(init=False, repr=False)
+    fine_n: int
+    coarse_m: int
+    kind: str
 
     def __post_init__(self):
-        self.mH_inv_bt = self.mH.solve(self.b.T)
-        self.mh_inv_b = self.mh.solve(self.b)
+        check_mesh(self.fine_n, self.coarse_m, self.kind)
+        n, m = self.fine_n, self.coarse_m
+        self.mh = UniformMass(n - 1, 1.0 / n)
+        if self.kind == "nested-linear":
+            self.mH = UniformMass(m - 1, 1.0 / m)
+        else:
+            self.mH = UniformMass(m, 1.0 / m, hats=False)
+        self.b = _coupling(np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, m + 1), self.kind)
+        self.mH_inv_bt = self.mH.solve(self.b.T)  # MH^{-1} B^T
+        self.mh_inv_b = self.mh.solve(self.b)  # Mh^{-1} B
+        self.bt_mh_inv_b = self.b.T @ self.mh_inv_b  # K's coarse term per unit k chi
+        self.mH_dense = self.mH.toarray()
+        self.d = self.mh.eigenvalues()  # fine mass eigenvalues, decreasing
+        for block in (self.b, self.mH_inv_bt, self.mh_inv_b, self.bt_mh_inv_b, self.mH_dense,
+                      self.d):
+            block.flags.writeable = False
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """W = Q^T B, Q the orthonormal fine sine basis."""
+        w = _sine_transform(self.b) / -math.sqrt(2.0 * self.fine_n)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def mu(self) -> float:
+        """Largest eigenvalue of MH^-1/2 W^T W MH^-1/2: Weyl's bound on the
+        coarse term's eigenvalues per unit k chi."""
+        chol = np.linalg.cholesky(self.mH_dense)
+        half = np.linalg.solve(chol, self.w.T @ self.w)
+        return np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1]
+
+
+@dataclass
+class FemOperatorSet:
+    """One k chi point of the reduced analysis system on [0, 1]."""
+
+    k_chi: float
+    mesh: FemMesh
+    # K = MH + k chi B^T Mh^{-1} B; None when k chi = 0
+    woodbury: np.ndarray | None = field(init=False, repr=False)
+    mh = property(lambda self: self.mesh.mh)
+    mH = property(lambda self: self.mesh.mH)
+    b = property(lambda self: self.mesh.b)
+    mH_inv_bt = property(lambda self: self.mesh.mH_inv_bt)
+    mh_inv_b = property(lambda self: self.mesh.mh_inv_b)
+    dim = property(lambda self: self.mesh.fine_n - 1)
+
+    def __post_init__(self):
         self.woodbury = None
         if self.k_chi != 0.0:
-            self.woodbury = self.mH.toarray()
-            self.woodbury += self.k_chi * (self.b.T @ self.mh_inv_b)
-
-    @property
-    def dim(self) -> int:
-        return self.mh.size
+            self.woodbury = self.mesh.mH_dense + self.k_chi * self.mesh.bt_mh_inv_b
 
 
 def check_mesh(fine_n: int, coarse_m: int, kind: str):
@@ -206,18 +246,19 @@ def check_mesh(fine_n: int, coarse_m: int, kind: str):
         raise ValueError(f"fine dimension capped at {MAX_DIMENSION}, got fem_n={fine_n}")
 
 
-def assemble(fine_n: int, coarse_m: int, kind: str, k_chi: float) -> FemOperatorSet:
-    check_mesh(fine_n, coarse_m, kind)
+def assemble(
+    fine_n: int, coarse_m: int, kind: str, k_chi: float, *, mesh: FemMesh | None = None
+) -> FemOperatorSet:
+    """The k chi point on this mesh pair; `mesh`, a FemMesh of the same
+    (fine_n, coarse_m, kind), saves building one."""
+    if mesh is not None and (mesh.fine_n, mesh.coarse_m, mesh.kind) != (fine_n, coarse_m, kind):
+        raise ValueError(
+            f"mesh built for fem_n={mesh.fine_n}, fem_m={mesh.coarse_m}, {mesh.kind}; "
+            f"this point has fem_n={fine_n}, fem_m={coarse_m}, {kind}"
+        )
     if not 0 <= k_chi < math.inf:
         raise ValueError(f"k_chi must be finite and nonnegative, got {k_chi!r}")
-    fine = np.linspace(0.0, 1.0, fine_n + 1)
-    coarse = np.linspace(0.0, 1.0, coarse_m + 1)
-    mh = UniformMass(fine_n - 1, 1.0 / fine_n)
-    if kind == "nested-linear":
-        mH = UniformMass(coarse_m - 1, 1.0 / coarse_m)
-    else:
-        mH = UniformMass(coarse_m, 1.0 / coarse_m, hats=False)
-    return FemOperatorSet(k_chi, mh, mH, _coupling(fine, coarse, kind))
+    return FemOperatorSet(k_chi, mesh or FemMesh(fine_n, coarse_m, kind))
 
 
 def reduced_apply(ops: FemOperatorSet, c: np.ndarray) -> np.ndarray:
@@ -340,9 +381,7 @@ class _SineForm:
 
     def __init__(self, ops: FemOperatorSet):
         self.k_chi = ops.k_chi
-        self.d = ops.mh.eigenvalues()
-        self.w = _sine_transform(ops.b) / -math.sqrt(2.0 * (ops.dim + 1))
-        self.mH = ops.mH.toarray()
+        self.d, self.w, self.mH = ops.mesh.d, ops.mesh.w, ops.mesh.mH_dense
 
     def _coupled(self, lam: float, rows: int) -> np.ndarray:
         """k_chi W^T (D - lam)^{-1} W over the first `rows` rows of W."""
@@ -438,13 +477,10 @@ def estimate_condition(ops: FemOperatorSet) -> ConditionEstimate:
     systems.
     """
     if ops.k_chi == 0.0:
-        d = ops.mh.eigenvalues()
+        d = ops.mesh.d
         return ConditionEstimate(float(d[0]), float(d[-1]))
     form = _SineForm(ops)
-    d, k_chi = form.d, ops.k_chi
-    chol = np.linalg.cholesky(form.mH)
-    half = np.linalg.solve(chol, form.w.T @ form.w)
-    mu = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1]  # of MH^-1/2 W^T W MH^-1/2
+    d, k_chi, mu = form.d, ops.k_chi, ops.mesh.mu
     top = d[0] + k_chi * mu  # Weyl's bound, above lambda_min too
     lam_max = _increasing_root(form.upper, max(d[0], d[-1] + k_chi * mu), top, top, pole=d[0])
 
@@ -482,10 +518,13 @@ def condition_sweep(
     k_chi_values,
     seed: int = 0,
 ) -> list[SweepRow]:
+    """One row per k chi value, every point on the mesh the first one built."""
     rows = []
     rng = np.random.default_rng(seed)
+    mesh = None
     for k_chi in k_chi_values:
-        ops = assemble(fine_n, coarse_m, kind, float(k_chi))
+        ops = assemble(fine_n, coarse_m, kind, float(k_chi), mesh=mesh)
+        mesh = ops.mesh
         est = estimate_condition(ops)
         vtilde = rng.standard_normal(ops.dim)
         obs = rng.standard_normal(ops.dim)

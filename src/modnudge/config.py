@@ -34,6 +34,7 @@ OUTDIR_ENV = "MODNUDGE_OUTDIR"
 
 _DEFAULT_K_LIST = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _DEFAULT_KCHI_LIST = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+HORIZON_EPSILON = 0.1  # default horizon threshold on the relative error, twin and horizon
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class RunConfig:
     forcing_amplitude: float = 0.25
     chi_list: tuple[float, ...] = (0.0, 1.0, 1e4)
     k_list: tuple[float, ...] = _DEFAULT_K_LIST
-    epsilons: tuple[float, ...] = ()  # empty -> 0.1 x mean truth norm
+    epsilons: tuple[float, ...] = (HORIZON_EPSILON,)  # relative-error thresholds
     windows: tuple[tuple[float, float], ...] = ()  # empty -> default_windows(T)
     # 1D FEM conditioning sweep
     fem_n: int = 256
@@ -82,7 +83,7 @@ class RunConfig:
                 raise ValueError("the truth step k_truth must evenly divide k")
         check_entries("chi_list", self.chi_list, zero_ok=True)
         check_entries("k_list", self.k_list)
-        check_entries("epsilons", self.epsilons, empty_ok=True)
+        check_entries("epsilons", self.epsilons)
         for win in self.windows:
             if len(win) != 2 or not win[0] < win[1]:
                 raise ValueError(f"window {win} must be an increasing (start, end) pair")
@@ -103,11 +104,11 @@ class RunConfig:
         return self.windows or default_windows(self.T)
 
 
-def check_entries(name: str, values, zero_ok: bool = False, empty_ok: bool = False):
-    """Refuse an empty list, unless empty_ok, and any entry that is not finite
-    and positive (nonnegative with zero_ok); NaN fails both comparisons."""
+def check_entries(name: str, values, zero_ok: bool = False):
+    """Refuse an empty list and any entry that is not finite and positive
+    (nonnegative with zero_ok); NaN fails both comparisons."""
     low = "nonnegative" if zero_ok else "positive"
-    if not (values or empty_ok):
+    if not values:
         raise ValueError(f"{name} needs at least one entry")
     for v in values:
         if not (0 <= v < math.inf if zero_ok else 0 < v < math.inf):

@@ -38,7 +38,7 @@ from .observers import (
     make_operator,
     make_spectral_projection,
 )
-from .predictability import ErrorSeries, HorizonReport, default_epsilon, horizon_report
+from .predictability import ErrorSeries, HorizonReport, horizon_report
 from .solvers import KrylovError
 from .spectral import (
     LADYZHENSKAYA_CONST,
@@ -211,7 +211,6 @@ class TwinResult:
     config: RunConfig
     times: np.ndarray
     truth_norms: np.ndarray
-    epsilons: tuple[float, ...]
     windows: tuple[tuple[float, float], ...]
     variants: dict[str, VariantResult]
 
@@ -342,12 +341,11 @@ def run_twin(
 
     times_arr = np.asarray(times)
     truth_arr = np.asarray(truth_norms)
-    epsilons = cfg.epsilons or (default_epsilon(truth_arr),)
     results: dict[str, VariantResult] = {}
     for var in variants:
         series = ErrorSeries(times_arr, np.asarray(rels[var.name]))
         horizons = [
-            horizon_report(series, t1, t2, eps) for (t1, t2) in windows for eps in epsilons
+            horizon_report(series, t1, t2, eps) for (t1, t2) in windows for eps in cfg.epsilons
         ]
         checked, violations = decrease[var.name]
         results[var.name] = VariantResult(
@@ -362,7 +360,6 @@ def run_twin(
         config=cfg,
         times=times_arr,
         truth_norms=truth_arr,
-        epsilons=tuple(epsilons),
         windows=windows,
         variants=results,
     )

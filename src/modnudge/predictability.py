@@ -108,14 +108,6 @@ def horizon_report(series: ErrorSeries, T1: float, T2: float, epsilon: float) ->
     )
 
 
-def default_epsilon(truth_norms) -> float:
-    """Threshold used when the config does not set one: 10% of mean ||u||."""
-    arr = np.asarray(truth_norms, dtype=float)
-    if arr.size == 0 or np.any(arr < 0):
-        raise ValueError("need nonnegative truth norms")
-    return 0.1 * float(arr.mean())
-
-
 # ---------------------------------------------------------------------------
 # field length scales
 # ---------------------------------------------------------------------------

@@ -292,8 +292,9 @@ class TestIdentities:
         assert da.check_gradient_monotonicity(e, e, op, 0.1, 0.0) < 1e-14
 
     def test_cell_average_identities_reported_after_reprojection(self, grid):
-        # the cell average breaks solenoidality; the run re-projects and
-        # the identities are checked on the raw analysis state
+        # the cell average breaks solenoidality and no run re-projects: a
+        # Leray projection would restore it, and the identities hold on the
+        # raw analysis state, which is what the run stores
         op = obs.make_cell_average(grid, 8)
         rng = np.random.default_rng(21)
         vtilde, u = random_pair(grid, rng)

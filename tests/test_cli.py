@@ -126,6 +126,17 @@ class TestHorizon:
         assert len(lines) == 1 + 2 * 2  # two variants x two epsilons
         assert "lam=" in capsys.readouterr().out
 
+    def test_twin_and_horizon_defaults_agree(self, tmp_path):
+        # both default to one relative-error threshold, so the same series
+        # gives the same rows
+        assert run_twin_cli(tmp_path / "t") == 0
+        rc = main(["horizon", "--series", str(tmp_path / "t" / "twin_errors.csv"),
+                   "--windows", "0.04:0.16", "--outdir", str(tmp_path / "h")])
+        assert rc == 0
+        rows = (tmp_path / "t" / "horizons.csv").read_text().splitlines()
+        assert (tmp_path / "h" / "horizons.csv").read_text().splitlines() == rows
+        assert {row.split(",")[3] for row in rows[1:]} == {"0.10000000000000001"}
+
     def test_window_endpoints_snap_to_samples(self, tmp_path):
         assert run_twin_cli(tmp_path) == 0
         rc = main([

@@ -342,3 +342,45 @@ class TestConditioning:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
             cl.assemble(6000, 10, "piecewise-constant", 1.0)
+
+
+class TestMeshReuse:
+    """A sweep builds its mesh once and reuses it at every k chi point."""
+
+    @pytest.mark.parametrize("kind", cl.COARSE_KINDS)
+    def test_sweep_rows_equal_a_fresh_assembly_at_each_point(self, kind):
+        k_chi = [1.0, 100.0, 0.0, 10.0, 1e4]  # k chi = 0 skips the secular pieces mid-sweep
+        rows = cl.condition_sweep(64, 8, kind, k_chi, seed=3)
+        rng = np.random.default_rng(3)
+        for row, kc in zip(rows, k_chi, strict=True):
+            ops = cl.assemble(64, 8, kind, kc)
+            cond = cl.estimate_condition(ops).cond
+            vt, obs = rng.standard_normal(ops.dim), rng.standard_normal(ops.dim)
+            gap = cl.solve_step2_fem(ops, vt, obs) - cl.explicit_update_fem(ops, vt, obs)
+            fresh = cl.SweepRow(64, 8, kind, kc, cond, cond / (1.0 + kc), cl.mass_norm(ops, gap))
+            assert row == fresh  # bit for bit
+
+    def test_each_sweep_builds_its_coupling_once(self, monkeypatch):
+        calls = []
+        coupling = cl._coupling
+        monkeypatch.setattr(cl, "_coupling", lambda *args: calls.append(args) or coupling(*args))
+        for sweep in (1, 2):  # nothing is cached across sweeps
+            cl.condition_sweep(32, 4, "nested-linear", [1.0, 0.0, 1e4])
+            assert len(calls) == sweep
+
+    @pytest.mark.parametrize("other", [
+        (64, 4, "nested-linear"), (32, 8, "nested-linear"), (32, 4, "piecewise-constant"),
+    ])
+    def test_a_mesh_of_another_pair_is_refused(self, other):
+        mesh = cl.FemMesh(32, 4, "nested-linear")
+        assert cl.assemble(32, 4, "nested-linear", 1.0, mesh=mesh).mesh is mesh
+        with pytest.raises(ValueError, match="mesh built for fem_n=32, fem_m=4"):
+            cl.assemble(*other, 1.0, mesh=mesh)
+
+    def test_shared_blocks_are_read_only(self):
+        ops = cl.assemble(16, 4, "piecewise-constant", 1.0)
+        mesh = ops.mesh
+        for block in (mesh.b, mesh.mH_inv_bt, mesh.mh_inv_b, mesh.bt_mh_inv_b, mesh.mH_dense,
+                      mesh.w):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0

@@ -117,11 +117,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="even"):
             RunConfig(n=63)
 
-    def test_empty_chi_list_rejected(self):
-        with pytest.raises(ValueError, match="chi_list"):
-            RunConfig(chi_list=())
-        with pytest.raises(ValueError, match="chi_list"):
-            apply_overrides(RunConfig(), ["chi_list="])
+    @pytest.mark.parametrize("key", ["chi_list", "epsilons"])
+    def test_empty_list_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} needs at least one entry"):
+            RunConfig(**{key: ()})
+        with pytest.raises(ValueError, match=key):
+            apply_overrides(RunConfig(), [f"{key}="])
 
     @pytest.mark.parametrize("key,good", [
         ("chi_list", "0,1"), ("k_list", "0.5,0.25"), ("epsilons", "0.1"), ("kchi_list", "0,1"),

@@ -141,7 +141,7 @@ class TestTwin:
         for vr in result.variants.values():
             assert len(vr.horizons) == 1
             assert vr.horizons[0].window == (0.1, 0.3)
-        assert len(result.epsilons) == 1 and result.epsilons[0] > 0
+        assert all(rep.epsilon == 0.1 for vr in result.variants.values() for rep in vr.horizons)
 
     def test_deterministic_reruns(self, result):
         again = ex.run_twin(small_twin_config())

@@ -98,9 +98,6 @@ class TestHorizons:
         tau_slow = pred.epsilon_horizon(0.2, 0.01, 1.0)
         assert tau_slow > tau_fast
 
-    def test_default_epsilon_is_tenth_of_mean(self):
-        assert pred.default_epsilon([2.0, 4.0]) == pytest.approx(0.3)
-
     def test_report_window_and_fields(self):
         s = series([0.0, 1.0], [0.01, 0.02])
         rep = pred.horizon_report(s, 0.0, 1.0, epsilon=1.0)
