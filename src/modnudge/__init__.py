@@ -1,10 +1,3 @@
 """Modular two-step nudging data assimilation for 2D periodic flow."""
 
 __version__ = "0.1.0"
-
-from .spectral import (  # noqa: F401
-    ScalarField,
-    SpectralVectorField,
-    TorusGrid,
-    get_grid,
-)

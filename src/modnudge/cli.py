@@ -8,20 +8,36 @@ environment variable overrides the output directory of every subcommand.
 
 Identical config and seed produce bit-identical CSV outputs for a fixed
 BLAS thread count (multithreaded reductions sum in a thread-dependent
-order); the default ``condlab.csv`` does not depend on the thread count.
+order).  The CLI therefore runs BLAS and OpenMP on one thread unless the
+caller sets one of ``BLAS_THREAD_VARS``; it sets them before numpy loads,
+which is why the package's ``__init__`` imports no numpy.  The default
+``condlab.csv`` does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
-import numpy as np
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+# BLAS and OpenMP read these once, as numpy loads; a process that has
+# loaded numpy already is left as it is, environment included
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from . import condlab, fileio
-from . import experiments as ex
-from .config import (
+import numpy as np  # noqa: E402
+
+from . import condlab, fileio  # noqa: E402
+from . import experiments as ex  # noqa: E402
+from .config import (  # noqa: E402
     HORIZON_EPSILON,
     RunConfig,
     _parse_float_list,
@@ -33,7 +49,7 @@ from .config import (
     load_config,
     resolve_outdir,
 )
-from .predictability import ErrorSeries, horizon_report
+from .predictability import ErrorSeries, horizon_report  # noqa: E402
 
 
 def _add_common(parser: argparse.ArgumentParser):

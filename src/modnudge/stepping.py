@@ -21,23 +21,28 @@ step it takes, which operators it admits and whether runs ledger it.
 BDF2 formula (backward-Euler startup, advecting field extrapolated to
 the new time level), which is second-order and keeps every step linear.
 
-Krylov starts.  Solutions of successive steps are close, so a solve
-that starts from a polynomial extrapolation of earlier solutions needs
-fewer operator applications (Fischer 1998).  The truth and the forecast
-are plain steps without nudging, as smooth in time as the flow, so their
+Krylov starts.  Solutions of successive steps are close, so a solve that
+starts from a polynomial extrapolation of earlier solutions needs fewer
+operator applications (Fischer 1998).  The truth and the forecast are
+plain steps without nudging, as smooth in time as the flow, so their
 increments d (u^{n+1} - u^n, or vt - v) extrapolate well: both start
-from x^n + 2 d^n - d^{n-1}, the quadratic extrapolation, over the last
-two increments that one `IncrementHistory` holds.  The guesses only set
-where GMRES starts; every solve is still judged on its true residual, so
-results move within the solver tolerance.  The fused nudging solve keeps
-the cold start v^n.  It is stiff in chi, and
+from x^n + 3 d^n - 3 d^{n-1} + d^{n-2}, the cubic extrapolation, over
+the last three increments that one `IncrementHistory` holds.  The
+truth's start often meets the tolerance outright (54 of the 120 substeps
+of an n=128 twin to T=0.3), and such a substep costs only the
+application of GMRES's initial residual; for that its increments are
+kept in double precision.  The forecasts take as many applications from
+single-precision increments, which halve the history each variant keeps.
+The guesses only set where GMRES starts; every solve is still judged on
+its true residual, so results move within the solver tolerance.  The
+fused nudging solve keeps the cold start v^n.  It is stiff in chi, and
 its right side carries chi I_H u, so the tolerance 1e-10 ||b|| leaves
 room for answers far apart.  Started from the same increment
-extrapolation, the chi=1e4 fused solve with the cell average at n=64 took
-23 applications instead of 51, but its twin relative error moved by up to
-1.5e-8, where the benchmark holds every twin run to 10 solver_tol = 1e-9
-of its recorded reference; with the spectral projection at n=128 it took
-3.1 instead of 4.1 and moved by up to 7.9e-10.
+extrapolation, the chi=1e4 fused solve with the cell average at n=64
+took 23 applications instead of 51, but its twin relative error moved by
+up to 1.5e-8, where the benchmark holds every twin run to 10 solver_tol
+= 1e-9 of its recorded reference; with the spectral projection at n=128
+it took 3.1 instead of 4.1 and moved by up to 7.9e-10.
 
 `StabilityLedger` accumulates the discrete energy budget
     ||v^N||^2 + sum_n [ ||increments||^2 + k nu ||grad vt||^2
@@ -161,34 +166,47 @@ class SchemeConfig:
 
 
 class IncrementHistory:
-    """The last two increments d = x^{n+1} - x^n of one sequence of solves.
+    """The last three increments d = x^{n+1} - x^n of one sequence of solves.
 
-    Both buffers are allocated once.  They are stored in single precision:
-    they only place the initial GMRES iterate, and the solve is judged on
-    its true residual.
+    The buffers are allocated once, in `dtype`.  The forecasts keep theirs
+    in single precision (the default): a forecast solve takes the same
+    number of applications from either, and a run holds one history per
+    variant.  The truth keeps its one history in double precision, where
+    its cubic start often meets the 1e-10 tolerance outright and single
+    precision rounding would not.  Either way the start only places the
+    initial GMRES iterate; the solve is judged on its true residual.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
-        self._latest = np.zeros(shape, dtype=np.complex64)
-        self._earlier = np.zeros(shape, dtype=np.complex64)
-        self.count = 0  # increments recorded so far, at most 2
+    def __init__(self, shape: tuple[int, ...], dtype=np.complex64):
+        # latest first: d^n, d^{n-1}, d^{n-2}
+        self._d = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+        self.count = 0  # increments recorded so far, at most 3
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._d[0].dtype
 
     def guess(self, x: np.ndarray) -> np.ndarray:
-        """The initial iterate x + 2 d^n - d^{n-1} for the solve after x;
-        x + d^n after one recorded increment, x before any."""
+        """The initial iterate x + 3 d^n - 3 d^{n-1} + d^{n-2} for the solve
+        after x; with fewer increments recorded, x + 2 d^n - d^{n-1},
+        x + d^n, then x."""
         x0 = x.copy()
+        d1, d2, d3 = self._d
         if self.count == 1:
-            x0 += self._latest
+            x0 += d1
         elif self.count == 2:
-            x0 += 2.0 * self._latest
-            x0 -= self._earlier
+            x0 += 2.0 * d1
+            x0 -= d2
+        elif self.count == 3:
+            x0 += 3.0 * (d1 - d2)
+            x0 += d3
         return x0
 
     def record(self, new: np.ndarray, old: np.ndarray):
-        """Make new - old the latest increment, dropping the earlier one."""
-        self._latest, self._earlier = self._earlier, self._latest
-        np.subtract(new, old, out=self._latest, casting="same_kind")
-        self.count = min(self.count + 1, 2)
+        """Make new - old the latest increment, dropping the oldest one."""
+        self._d.insert(0, self._d.pop())
+        np.subtract(new, old, out=self._d[0], casting="same_kind")
+        self.count = min(self.count + 1, 3)
 
 
 @dataclass
@@ -335,10 +353,14 @@ class TruthIntegrator:
     The advecting velocity is the second-order extrapolation
     2 u^n - u^{n-1}, so the implicit system stays linear while the
     overall scheme remains second order.  The first step is backward
-    Euler from u0.  GMRES starts from the extrapolation of the last two
-    increments (`IncrementHistory`), u^n + 2 d^n - d^{n-1} with
-    d^n = u^n - u^{n-1}, which equals 3 u^n - 3 u^{n-1} + u^{n-2}; the
-    second step starts from 2 u^n - u^{n-1} and the first from u^n.
+    Euler from u0.  GMRES starts from the extrapolation of the last three
+    increments (`IncrementHistory`), u^n + 3 d^n - 3 d^{n-1} + d^{n-2}
+    with d^n = u^n - u^{n-1}, which equals
+    4 u^n - 6 u^{n-1} + 4 u^{n-2} - u^{n-3}; the first three steps start
+    from the quadratic, linear and constant extrapolations.  The
+    increments are kept in double precision: the cubic start often meets
+    the solver tolerance before any Arnoldi step, and increments rounded
+    to single precision would not.
     """
 
     def __init__(
@@ -358,7 +380,7 @@ class TruthIntegrator:
         self.time = u0.time
         self.current = u0
         self.previous: SpectralVectorField | None = None
-        self.history = IncrementHistory(u0.coeffs.shape)
+        self.history = IncrementHistory(u0.coeffs.shape, np.complex128)
         self.last_iterations = 0
 
     def step(self) -> SpectralVectorField:

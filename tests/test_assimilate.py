@@ -291,7 +291,7 @@ class TestIdentities:
         e = u - vtilde
         assert da.check_gradient_monotonicity(e, e, op, 0.1, 0.0) < 1e-14
 
-    def test_cell_average_identities_reported_after_reprojection(self, grid):
+    def test_cell_average_identities_hold_on_the_unprojected_state(self, grid):
         # the cell average breaks solenoidality and no run re-projects: a
         # Leray projection would restore it, and the identities hold on the
         # raw analysis state, which is what the run stores

@@ -10,7 +10,7 @@ import pytest
 
 import modnudge
 from modnudge import experiments as ex
-from modnudge.cli import build_parser, main
+from modnudge.cli import BLAS_THREAD_VARS, build_parser, main
 
 TINY_TWIN = [
     "--set", "n=32", "--set", "nu=1e-2", "--set", "k=0.02", "--set", "T=0.2",
@@ -342,6 +342,47 @@ class TestErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert "all hard property suites passed" in proc.stdout
+
+
+# -- BLAS threads: one unless the caller sets a count -------------------------
+
+
+def _fresh_env(threads: str | None) -> dict:
+    """This process's environment with every BLAS thread variable removed,
+    or set to `threads`, and this checkout first on the path."""
+    src = str(Path(modnudge.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    return env
+
+
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_the_caller_set_them(threads, seen):
+    probe = ("import os, sys, modnudge; assert 'numpy' not in sys.modules; "
+             "from modnudge import cli; print(*(os.environ[v] for v in cli.BLAS_THREAD_VARS))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300, env=_fresh_env(threads))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [seen] * len(BLAS_THREAD_VARS)
+
+
+def test_unpinned_twin_writes_the_pinned_bytes(tmp_path):
+    # at n=128 the GMRES dot products are long enough for OpenBLAS to
+    # thread them, and two threads change the CSVs' last digits
+    sets = ["--set", "n=128", "--set", "T=0.1"]
+    for name, threads in (("unset", None), ("pinned", "1")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "modnudge.cli", "twin", "--outdir", str(tmp_path / name), *sets],
+            capture_output=True, text=True, timeout=300, env=_fresh_env(threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
+    assert "twin_errors.csv" in names
+    assert sorted(p.name for p in (tmp_path / "unset").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "pinned" / name).read_bytes(), name
 
 
 # run in a fresh interpreter: no subcommand loads scipy, which the package

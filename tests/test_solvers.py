@@ -257,6 +257,23 @@ def test_gmres_matches_scipy_on_the_fused_cell_average_solve():
     assert 20 < info.iterations < 64  # one cycle
 
 
+def test_gmres_returns_an_initial_guess_that_meets_tol_unchanged():
+    # the truth's cubic start often lands here: the initial residual test
+    # accepts x0 after its one application, as scipy's does
+    rng = np.random.default_rng(11)
+    n = 40
+    a = np.diag(rng.uniform(1.0, 3.0, n)) + 0.2 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = np.linalg.solve(a.astype(complex), b)
+    residual = np.linalg.norm((b - a @ x0).view(np.float64)) / np.linalg.norm(b.view(np.float64))
+    assert 0 < residual <= 1e-12
+    info = _assert_matches_scipy(lambda v: a @ v, b, x0=x0, tol=1e-10)
+    x, _ = solve_gmres(lambda v: a @ v, b, x0=x0, tol=1e-10)
+    assert x.tobytes() == x0.tobytes()
+    assert info.iterations == 1
+    assert info.residual == residual
+
+
 # -- the Givens rotation against LAPACK's dlartg --------------------------
 
 
