@@ -54,7 +54,7 @@ DEFAULT_CG_TOL = 1e-12
 
 
 def _result(vtilde: SpectralVectorField, coeffs, info: SolveInfo | None = None) -> StepResult:
-    v = SpectralVectorField(vtilde.grid, _readonly(coeffs), vtilde.time)
+    v = SpectralVectorField(vtilde.grid, _readonly(coeffs))
     return StepResult(v) if info is None else StepResult(v, info.iterations, info.residual)
 
 

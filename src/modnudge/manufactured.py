@@ -26,9 +26,9 @@ def _shape_values(grid: TorusGrid) -> np.ndarray:
 
 
 def exact_solution(grid: TorusGrid, t: float) -> SpectralVectorField:
-    return math.exp(t) * SpectralVectorField.from_grid(grid, _shape_values(grid), t)
+    return math.exp(t) * SpectralVectorField.from_grid(grid, _shape_values(grid))
 
 
 def forcing(grid: TorusGrid, t: float, nu: float) -> SpectralVectorField:
-    return ((1.0 + nu) * math.exp(t)) * SpectralVectorField.from_grid(grid, _shape_values(grid), t)
+    return ((1.0 + nu) * math.exp(t)) * SpectralVectorField.from_grid(grid, _shape_values(grid))
 

@@ -68,7 +68,7 @@ class ObservationOperator:
     def apply(self, w: Field) -> Field:
         if w.grid != self.grid:
             raise ValueError("field and observation operator live on different grids")
-        return type(w)(self.grid, _readonly(self._apply(w.coeffs)), w.time)
+        return type(w)(self.grid, _readonly(self._apply(w.coeffs)))
 
     def apply_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Array-level application on (..., n, n//2+1) coefficient blocks.

@@ -1,17 +1,18 @@
 """Fourier pseudo-spectral core for periodic 2D fields.
 
-Fields live on the square torus [0, L)^2, sampled on an n x n uniform
+Fields live on the square torus [0, 2 pi)^2, sampled on an n x n uniform
 grid.  A scalar field is represented by the half-spectrum rFFT
 coefficients c[kx, ky] (kx runs over the full signed lattice, ky >= 0)
 normalized so that
 
-    f(x) = sum_k c_k exp(i k . x),          k = (2 pi / L) * integer pair,
+    f(x) = sum_k c_k exp(i k . x),          k an integer pair,
 
 which makes the coefficients coincide with the analytic Fourier series
 of the field.  Real-valuedness is structural: the missing half of the
-spectrum is implied by Hermitian symmetry.  One container, `Field`,
-holds such blocks; `ScalarField` and `SpectralVectorField` differ only
-in the leading shape, () or (2,).  The transforms are
+spectrum is implied by Hermitian symmetry.  A `Field` is such a block of
+coefficients on a grid and nothing more: the time level it belongs to is
+kept by the run that steps it.  `ScalarField` and `SpectralVectorField`
+differ only in the leading shape, () or (2,).  The transforms are
 `numpy.fft` calls (numpy >= 2 ships the same pocketfft as scipy), laid
 out so that they reproduce `scipy.fft` bit for bit; a test holds them
 to that.
@@ -64,20 +65,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform n x n grid on [0, length)^2 with its spectral machinery.
+    """Uniform n x n grid on [0, 2 pi)^2 with its spectral machinery.
 
     Arrays of grid values are indexed [ix, iy]; coefficient arrays are
     indexed [kx, ky] with kx in fftfreq order and ky = 0..n//2.
     """
 
     n: int
-    length: float = TWO_PI
+
+    length = TWO_PI  # side of the torus, so wavenumbers are integers
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2:
             raise ValueError(f"grid size must be even and >= 4, got n={self.n}")
-        if not self.length > 0:
-            raise ValueError("domain length must be positive")
 
     # -- lattice ---------------------------------------------------------
 
@@ -104,12 +104,12 @@ class TorusGrid:
     @cached_property
     def kx(self) -> np.ndarray:
         """Physical wavenumbers along axis 0, broadcast shape (n, 1)."""
-        return _readonly((TWO_PI / self.length) * self.kx_int[:, None].astype(float))
+        return _readonly(self.kx_int[:, None].astype(float))
 
     @cached_property
     def ky(self) -> np.ndarray:
         """Physical wavenumbers along axis 1, broadcast shape (1, n//2+1)."""
-        return _readonly((TWO_PI / self.length) * self.ky_int[None, :].astype(float))
+        return _readonly(self.ky_int[None, :].astype(float))
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -209,14 +209,9 @@ class TorusGrid:
 
 
 @lru_cache(maxsize=None)
-def _grid_instance(n: int, length: float) -> TorusGrid:
-    return TorusGrid(n, length)
-
-
-def get_grid(n: int, length: float = TWO_PI) -> TorusGrid:
-    """Shared per-(n, length) grid instances (read-mostly registry)."""
-    # normalize before caching so get_grid(n) and get_grid(n, TWO_PI) alias
-    return _grid_instance(int(n), float(length))
+def get_grid(n: int) -> TorusGrid:
+    """The shared grid of size n (read-mostly registry)."""
+    return TorusGrid(n)
 
 
 def _symmetrize_edges(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
@@ -241,44 +236,43 @@ class Field:
 
     grid: TorusGrid
     coeffs: np.ndarray
-    time: float = 0.0
 
     leading = ()
 
     @classmethod
-    def from_grid(cls, grid: TorusGrid, values: np.ndarray, time: float = 0.0):
+    def from_grid(cls, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         shape = cls.leading + (grid.n, grid.n)
         if values.shape != shape:
             raise ValueError(f"expected values of shape {shape}, got {values.shape}")
-        f = cls(grid, _readonly(grid.to_coeffs(values)), time)
+        f = cls(grid, _readonly(grid.to_coeffs(values)))
         f.__dict__["values"] = _readonly(values.copy())
         return f
 
     @classmethod
-    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray, time: float = 0.0):
+    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
         shape = cls.leading + grid.coeff_shape
         if coeffs.shape != shape:
             raise ValueError(f"expected coeffs of shape {shape}, got {coeffs.shape}")
-        return cls(grid, _readonly(_symmetrize_edges(grid, coeffs)), time)
+        return cls(grid, _readonly(_symmetrize_edges(grid, coeffs)))
 
     @classmethod
-    def zero(cls, grid: TorusGrid, time: float = 0.0):
-        return cls(grid, _readonly(np.zeros(cls.leading + grid.coeff_shape, dtype=complex)), time)
+    def zero(cls, grid: TorusGrid):
+        return cls(grid, _readonly(np.zeros(cls.leading + grid.coeff_shape, dtype=complex)))
 
     @cached_property
     def values(self) -> np.ndarray:
         return _readonly(self.grid.to_values(self.coeffs))
 
     def __add__(self, other):
-        return type(self)(self.grid, _readonly(self.coeffs + other.coeffs), self.time)
+        return type(self)(self.grid, _readonly(self.coeffs + other.coeffs))
 
     def __sub__(self, other):
-        return type(self)(self.grid, _readonly(self.coeffs - other.coeffs), self.time)
+        return type(self)(self.grid, _readonly(self.coeffs - other.coeffs))
 
     def __mul__(self, s: float):
-        return type(self)(self.grid, _readonly(self.coeffs * s), self.time)
+        return type(self)(self.grid, _readonly(self.coeffs * s))
 
     __rmul__ = __mul__
 
@@ -329,13 +323,13 @@ def hermitian_defect(f: Field) -> float:
 def gradient(f: ScalarField) -> SpectralVectorField:
     g = f.grid
     c = np.stack([1j * g.kx * f.coeffs, 1j * g.ky * f.coeffs])
-    return SpectralVectorField(g, _readonly(c), f.time)
+    return SpectralVectorField(g, _readonly(c))
 
 
 def divergence(v: SpectralVectorField) -> ScalarField:
     g = v.grid
     c = 1j * g.kx * v.coeffs[0] + 1j * g.ky * v.coeffs[1]
-    return ScalarField(g, _readonly(c), v.time)
+    return ScalarField(g, _readonly(c))
 
 
 def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
@@ -375,7 +369,7 @@ def advect(a: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorFiel
     ac = a.coeffs * g.dealias_mask
     wc = w.coeffs * g.dealias_mask
     out = _advect_skew_coeffs(g, ac, wc)
-    return SpectralVectorField(g, _readonly(out), w.time)
+    return SpectralVectorField(g, _readonly(out))
 
 
 def _advect_skew_coeffs(g: TorusGrid, ac: np.ndarray, wc: np.ndarray) -> np.ndarray:
@@ -516,7 +510,6 @@ def random_smooth_scalar(
     rng: np.random.Generator,
     kmax: int | None = None,
     decay: float = 0.5,
-    time: float = 0.0,
 ) -> ScalarField:
     """Zero-mean random scalar with exponentially decaying spectrum."""
     if kmax is None:
@@ -526,7 +519,7 @@ def random_smooth_scalar(
     kk = np.maximum(np.abs(grid.kx_int)[:, None], grid.ky_int[None, :])
     c *= np.exp(-decay * kk) * (kk <= kmax)
     c[0, 0] = 0.0
-    return ScalarField.from_coeffs(grid, c, time)
+    return ScalarField.from_coeffs(grid, c)
 
 
 def random_divfree_field(
@@ -535,13 +528,12 @@ def random_divfree_field(
     kmax: int | None = None,
     decay: float = 0.5,
     normalize: float | None = 1.0,
-    time: float = 0.0,
 ) -> SpectralVectorField:
     """Zero-mean divergence-free random field (curl of a random stream function)."""
     psi = random_smooth_scalar(grid, rng, kmax=kmax, decay=decay)
     g = grid
     c = np.stack([1j * g.ky * psi.coeffs, -1j * g.kx * psi.coeffs])
-    v = SpectralVectorField.from_coeffs(grid, c, time)
+    v = SpectralVectorField.from_coeffs(grid, c)
     if normalize is not None:
         amp = l2_norm(v)
         if amp > 0:
@@ -554,7 +546,6 @@ def bump_localized_field(
     rng: np.random.Generator,
     center: tuple[float, float] | None = None,
     radius: float | None = None,
-    time: float = 0.0,
 ) -> SpectralVectorField:
     """Random vector field vanishing identically outside a disk.
 
@@ -597,5 +588,5 @@ def bump_localized_field(
     # subtract a multiple of the bump envelope, itself supported in the disk
     for comp in vals:
         comp -= (comp.mean() / env.mean()) * env
-    return SpectralVectorField.from_grid(grid, vals, time)
+    return SpectralVectorField.from_grid(grid, vals)
 

@@ -211,7 +211,8 @@ class IncrementHistory:
 
 @dataclass
 class ForecastState:
-    """One time level of a run: the divergence-free velocity and its clock.
+    """One time level of a run: the divergence-free velocity and the run's
+    clock, the one time it keeps; `experiments.advance` moves both.
 
     `history` holds the forecast increments that start the next forecast's
     solve; `step1_forecast` creates and updates it, so a state that never
@@ -303,8 +304,7 @@ def step1_forecast(state: ForecastState, forcing: SpectralVectorField) -> StepRe
         grid, state.velocity, rhs, state.history.guess(v), cfg.k, cfg.nu, cfg.solver_tol
     )
     state.history.record(c, v)
-    vtilde = SpectralVectorField(grid, _readonly(c), state.time + cfg.k)
-    return StepResult(vtilde, info.iterations, info.residual)
+    return StepResult(SpectralVectorField(grid, _readonly(c)), info.iterations, info.residual)
 
 
 def step_standard_nudging(
@@ -338,8 +338,7 @@ def step_standard_nudging(
         cfg.solver_tol,
         nudge=(op, cfg.chi),
     )
-    v = SpectralVectorField(grid, _readonly(c), state.time + cfg.k)
-    return StepResult(v, info.iterations, info.residual)
+    return StepResult(SpectralVectorField(grid, _readonly(c)), info.iterations, info.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +352,9 @@ class TruthIntegrator:
     The advecting velocity is the second-order extrapolation
     2 u^n - u^{n-1}, so the implicit system stays linear while the
     overall scheme remains second order.  The first step is backward
-    Euler from u0.  GMRES starts from the extrapolation of the last three
-    increments (`IncrementHistory`), u^n + 3 d^n - 3 d^{n-1} + d^{n-2}
+    Euler from u0 at time 0; `time` is the truth run's one clock, and
+    only `step` moves it.  GMRES starts from the extrapolation of the
+    last three increments (`IncrementHistory`), u^n + 3 d^n - 3 d^{n-1} + d^{n-2}
     with d^n = u^n - u^{n-1}, which equals
     4 u^n - 6 u^{n-1} + 4 u^{n-2} - u^{n-3}; the first three steps start
     from the quadratic, linear and constant extrapolations.  The
@@ -377,7 +377,7 @@ class TruthIntegrator:
         self.k = k
         self.nu = nu
         self.solver_tol = solver_tol
-        self.time = u0.time
+        self.time = 0.0
         self.current = u0
         self.previous: SpectralVectorField | None = None
         self.history = IncrementHistory(u0.coeffs.shape, np.complex128)
@@ -401,7 +401,7 @@ class TruthIntegrator:
         c, info = _momentum_solve(grid, adv, rhs, self.history.guess(u), k_eff, nu, self.solver_tol)
         self.history.record(c, u)
         self.previous = self.current
-        self.current = SpectralVectorField(grid, _readonly(c), t_next)
+        self.current = SpectralVectorField(grid, _readonly(c))
         self.time = t_next
         self.last_iterations = info.iterations
         return self.current

@@ -1,5 +1,9 @@
 import dataclasses
 
+# The CLI pins BLAS and OpenMP to one thread before numpy loads, unless the
+# caller set a count (`cli.BLAS_THREAD_VARS`).  Importing it first gives the
+# in-process runs of the suite the same default, and with it the CLI's bytes.
+import modnudge.cli  # noqa: F401  (must run before anything imports numpy)
 import pytest
 
 from modnudge import experiments as ex

@@ -8,20 +8,15 @@ from modnudge.manufactured import _shape_values
 from modnudge.spectral import ScalarField, SpectralVectorField, TorusGrid, _leray_coeffs, _readonly
 
 
-def at_time(v: SpectralVectorField, t: float) -> SpectralVectorField:
-    """The same coefficients stamped with time t."""
-    return SpectralVectorField(v.grid, v.coeffs, t)
-
-
 def laplacian(f):
     """Spectral Laplacian of a scalar or vector field."""
     c = _readonly(-f.grid.k2 * f.coeffs)
-    return type(f)(f.grid, c, f.time)
+    return type(f)(f.grid, c)
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """L2-orthogonal projection onto divergence-free fields."""
-    return SpectralVectorField(v.grid, _readonly(_leray_coeffs(v.grid, v.coeffs)), v.time)
+    return SpectralVectorField(v.grid, _readonly(_leray_coeffs(v.grid, v.coeffs)))
 
 
 def finest_rate(table) -> float:
@@ -61,10 +56,10 @@ def curl(v: SpectralVectorField) -> ScalarField:
     """Scalar vorticity d(u2)/dx - d(u1)/dy."""
     g = v.grid
     c = 1j * g.kx * v.coeffs[1] - 1j * g.ky * v.coeffs[0]
-    return ScalarField(g, _readonly(c), v.time)
+    return ScalarField(g, _readonly(c))
 
 
 def manufactured_forcing_fn(grid: TorusGrid, nu: float):
     """Time-callable forcing of the closed-form flow, for the truth integrator."""
     base = SpectralVectorField.from_grid(grid, _shape_values(grid))
-    return lambda t: ((1.0 + nu) * math.exp(t)) * at_time(base, t)
+    return lambda t: ((1.0 + nu) * math.exp(t)) * base

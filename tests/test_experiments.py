@@ -8,7 +8,7 @@ from modnudge import solvers
 from modnudge import stepping
 from modnudge.assimilate import step2a_explicit
 from modnudge.config import RunConfig
-from modnudge.observers import make_operator, make_spectral_projection
+from modnudge.observers import make_cell_average, make_operator, make_spectral_projection
 from modnudge.solvers import KrylovError
 from modnudge.spectral import get_grid, random_divfree_field
 from modnudge.stepping import ForecastState, SchemeConfig, step1_forecast
@@ -65,6 +65,19 @@ class TestAdvance:
         assert np.array_equal(got_vtilde.coeffs, vtilde.coeffs)
         assert np.array_equal(state.velocity.coeffs, manual.v.coeffs)
         assert state.time == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("rule", stepping.SCHEMES, ids=lambda s: s.name)
+    def test_every_scheme_moves_the_clock_by_exactly_k(self, rule):
+        grid = get_grid(16)
+        op = next(o for o in (make_cell_average(grid, 4), make_spectral_projection(grid, 4))
+                  if rule.admits(o))
+        rng = np.random.default_rng(4)
+        v0, u = random_divfree_field(grid, rng), random_divfree_field(grid, rng)
+        f = random_divfree_field(grid, rng, kmax=3, normalize=0.5)
+        k = 0.05
+        state = ForecastState(0.0, v0, SchemeConfig(k=k, nu=0.1, chi=20.0, scheme=rule.name))
+        ex.advance(state, f, op.apply(u), op)
+        assert state.time == k
 
 
 def manufactured_config(**kw):
@@ -136,6 +149,11 @@ class TestTwin:
     def test_baseline_rows_have_nan_residuals(self, result):
         rows = np.asarray([r[6:] for r in result.variants["chi-0"].ledger_rows], dtype=float)
         assert np.isnan(rows).all()
+
+    def test_every_ledger_reads_the_run_clock(self, result):
+        for name, vr in result.variants.items():
+            ledger_t = np.array([row[1] for row in vr.ledger_rows])
+            assert ledger_t.tobytes() == result.times[1:].tobytes(), name
 
     def test_horizon_reports_present(self, result):
         for vr in result.variants.values():

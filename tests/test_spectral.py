@@ -5,6 +5,7 @@ checked against a direct convolution carried out on a doubled grid,
 where it is exact by bandwidth counting.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ def exact_swirl(grid, t):
     """u(x, y, t) = e^t (cos y, sin x): divergence-free, single-mode pair."""
     X, Y = grid.mesh
     vals = np.stack([np.cos(Y), np.sin(X)]) * math.exp(t)
-    return sp.SpectralVectorField.from_grid(grid, vals, time=t)
+    return sp.SpectralVectorField.from_grid(grid, vals)
 
 
 class TestTransforms:
@@ -217,7 +218,7 @@ def oracle_advect_double_grid(a, w):
     the result is then restricted to the original retained band.
     """
     g = a.grid
-    big = sp.TorusGrid(2 * g.n, g.length)
+    big = sp.TorusGrid(2 * g.n)
 
     def lift(field):
         c = np.zeros((2,) + big.coeff_shape, dtype=complex)
@@ -425,3 +426,8 @@ class TestBuilders:
 
     def test_grid_registry_shares_instances(self):
         assert sp.get_grid(32) is sp.get_grid(32)
+
+    def test_fields_and_grids_hold_no_clock_or_length(self):
+        assert [f.name for f in dataclasses.fields(sp.Field)] == ["grid", "coeffs"]
+        assert [f.name for f in dataclasses.fields(sp.TorusGrid)] == ["n"]
+        assert sp.get_grid(32).length == 2.0 * math.pi

@@ -18,12 +18,12 @@ from modnudge import spectral as sp
 from modnudge import stepping as st
 from modnudge.config import RunConfig
 
-from spectral_helpers import at_time, manufactured_forcing_fn
+from spectral_helpers import manufactured_forcing_fn
 
 
 def make_state(grid, v, k=0.1, nu=1.0, chi=0.0, scheme="none", **kw):
     cfg = st.SchemeConfig(k=k, nu=nu, chi=chi, scheme=scheme, **kw)
-    return st.ForecastState(time=v.time, velocity=v, config=cfg)
+    return st.ForecastState(time=0.0, velocity=v, config=cfg)
 
 
 def truth_fields(u0, forcing, k, T, nu):
@@ -36,7 +36,7 @@ class TestForecast:
     def test_zero_state_zero_forcing_stays_zero(self):
         grid = sp.get_grid(16)
         state = make_state(grid, sp.SpectralVectorField.zero(grid))
-        res = st.step1_forecast(state, sp.SpectralVectorField.zero(grid, 0.1))
+        res = st.step1_forecast(state, sp.SpectralVectorField.zero(grid))
         assert sp.l2_norm(res.v) == 0.0
 
     def test_manufactured_single_step_closed_form(self):
@@ -190,9 +190,11 @@ class TestTruth:
     def test_zero_everything_stays_zero(self):
         grid = sp.get_grid(16)
         zero = sp.SpectralVectorField.zero(grid)
-        fields = truth_fields(zero, lambda t: at_time(zero, t), 0.1, 1.0, nu=1.0)
+        stepper = st.TruthIntegrator(zero, lambda t: zero, 0.1, 1.0)
+        assert stepper.time == 0.0
+        fields = [stepper.step() for _ in range(10)]
         assert all(sp.l2_norm(f) == 0.0 for f in fields)
-        assert fields[0].time == 0.0 and fields[-1].time == pytest.approx(1.0)
+        assert stepper.time == pytest.approx(1.0)
 
     def test_first_step_is_backward_euler(self):
         grid = sp.get_grid(16)
@@ -237,7 +239,7 @@ class TestTruth:
         rng = np.random.default_rng(8)
         u0 = sp.random_divfree_field(grid, rng)
         zero = sp.SpectralVectorField.zero(grid)
-        fields = truth_fields(u0, lambda t: at_time(zero, t), 0.05, 1.0, nu=0.1)
+        fields = truth_fields(u0, lambda t: zero, 0.05, 1.0, nu=0.1)
         norms = [sp.l2_norm(f) for f in fields]
         for a, b in zip(norms, norms[1:]):
             assert b <= a * (1.0 + 1e-12)
@@ -252,8 +254,7 @@ class TestKrylovStarts:
         f = sp.random_divfree_field(grid, rng, kmax=3, normalize=0.5)
         state = make_state(grid, v, k=0.02, nu=0.02, chi=chi, scheme=scheme)
         for _ in range(steps):
-            res = st.step1_forecast(state, f)
-            state.time, state.velocity = res.v.time, res.v
+            state.velocity = st.step1_forecast(state, f).v
         return state, f
 
     def test_applications_per_truth_substep_and_forecast(self, monkeypatch):
@@ -324,7 +325,7 @@ class TestKrylovStarts:
         rng = np.random.default_rng(13)
         u0 = sp.random_divfree_field(grid, rng)
         f = sp.random_divfree_field(grid, rng, normalize=0.5)
-        truth = st.TruthIntegrator(u0, lambda t: at_time(f, t), 0.02, 0.02)
+        truth = st.TruthIntegrator(u0, lambda t: f, 0.02, 0.02)
         truth.step()
         state, _ = self.advanced_state(grid, steps=1)
         # float64 real and imaginary parts for the truth, float32 for forecasts
@@ -364,17 +365,14 @@ class TestStabilityLedger:
         rng = np.random.default_rng(10)
         op = obs.make_spectral_projection(grid, 5)
         k, nu = 0.05, 0.1
-        forcing = sp.random_divfree_field(grid, rng, normalize=True)
-        truth = st.TruthIntegrator(
-            sp.random_divfree_field(grid, rng), lambda t: at_time(forcing, t), k, nu
-        )
+        f = sp.random_divfree_field(grid, rng, normalize=True)
+        truth = st.TruthIntegrator(sp.random_divfree_field(grid, rng), lambda t: f, k, nu)
         v = sp.random_divfree_field(grid, rng)
         state = make_state(grid, v, k=k, nu=nu, chi=chi, scheme=scheme)
         ledger = st.StabilityLedger.start(v)
         for _ in range(nsteps):
             u_next = truth.step()
             u_obs = op.apply(u_next)
-            f = at_time(forcing, truth.time)
             if scheme == "standard":
                 res = st.step_standard_nudging(state, f, u_obs, op)
                 ledger.record_forecast(state.velocity, res.v, f, k, nu)
@@ -528,7 +526,7 @@ def step_fields():
     u, vt = sp.random_divfree_field(grid, rng), sp.random_divfree_field(grid, rng)
     op = obs.make_spectral_projection(grid, 2)
     return SimpleNamespace(u=u, vt=vt, op=op, obs=op.apply(u),
-                           forcing=lambda t: sp.SpectralVectorField.zero(grid, t))
+                           forcing=lambda t: sp.SpectralVectorField.zero(grid))
 
 
 @pytest.mark.parametrize("entry,param,bad", [
