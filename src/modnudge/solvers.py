@@ -77,6 +77,10 @@ def givens_rotation(f: float, g: float) -> tuple[float, float, float]:
     return abs(fs) / d, gs / r, r * u
 
 
+# entries of the largest Krylov block a `solve_gmres` call has allocated
+_block_size = 0
+
+
 @dataclass
 class SolveInfo:
     iterations: int
@@ -191,8 +195,20 @@ def solve_gmres(
     # One block per solve, as in scipy: freeing a block this large raises
     # glibc's mmap threshold, so later solves reuse heap pages.  Krylov
     # vectors allocated one by one cost ~15k minor page faults per twin
-    # step at n = 128 and ran 20-25% slower.
-    V = np.empty((restart + 1, n))
+    # step at n = 128 and ran 20-25% slower.  Every block has the largest
+    # size any solve has needed, one size class, and a solve takes its
+    # rows from the front: with the velocity solves and the half-length
+    # stream-scalar solves in one process, blocks sized per solve left the
+    # heap a hole for each size, and the n = 128 twin's peak RSS read
+    # 65.1-66.0 MB against 57.5-58.7 MB (perfbench worker, one thread,
+    # 2-vCPU machine).
+    # A block kept alive for the whole process is worse: with no large
+    # block freed the mmap threshold stays low, the kernels' temporaries
+    # are faulted in again on every call, and the n = 128 twin step took
+    # 48.7-51.4 ms against 35.4-36.9 ms.
+    global _block_size
+    _block_size = max(_block_size, (restart + 1) * n)
+    V = np.empty(_block_size)[: (restart + 1) * n].reshape(restart + 1, n)
     h = np.zeros((restart, restart + 1))  # row j holds Hessenberg column j
     scratch = np.empty(n)
 

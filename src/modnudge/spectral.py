@@ -41,6 +41,16 @@ of ky columns 0..(n-1)//3 that holds the 2/3 band: `to_values` of a
 narrower coefficient block and `to_coeffs(..., band=True)` run their kx
 pass on those columns only.  For divergence-free a it equals the
 Leray projection of the skew form to roundoff, and tests pin that down.
+
+The same fact gives the stream map.  `_stream_to_velocity` takes a
+scalar s to u = (i ky, -i kx) s / |k|, and `_velocity_to_stream` takes u
+to s = curl(u) / |k|.  Mode by mode |u|^2 = |s|^2, so the map is an
+isometry of the stored coefficients (edge columns and the Nyquist row
+included, with no Hermitian weights), and the second map is its adjoint:
+it inverts the first on zero-mean divergence-free fields and is zero on
+gradients and on the mean, so their composition is the Leray projection
+with the mean removed.  The fused nudging solve iterates on s; the
+kernel's `stream` form returns curl N / |k| for it.
 """
 
 from __future__ import annotations
@@ -161,6 +171,18 @@ class TorusGrid:
         b = self.band_width
         inv_k2 = self.inv_k2[:, :b]
         return _readonly(np.stack([1j * self.ky[:, :b] * inv_k2, -1j * self.kx * inv_k2]))
+
+    @cached_property
+    def inv_k(self) -> np.ndarray:
+        """1/|k| with the k=0 entry set to zero."""
+        return _readonly(np.sqrt(self.inv_k2))
+
+    @cached_property
+    def stream_weights(self) -> np.ndarray:
+        """w = (i ky, -i kx) / |k| on the whole coefficient block, zero at
+        k = 0: u = w s is the velocity of the stream scalar s (see
+        `_stream_to_velocity`); shape (2, n, n//2+1)."""
+        return _readonly(np.stack([1j * self.ky * self.inv_k, -1j * self.kx * self.inv_k]))
 
     @cached_property
     def hermitian_weights(self) -> np.ndarray:
@@ -349,6 +371,22 @@ def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stream_to_velocity(grid: TorusGrid, s: np.ndarray) -> np.ndarray:
+    """The zero-mean divergence-free velocity u = (i ky, -i kx) s / |k|
+    of the stream scalar s, whose curl is |k| s."""
+    return grid.stream_weights * s
+
+
+def _velocity_to_stream(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
+    """The stream scalar curl(u) / |k| of u: the adjoint of
+    `_stream_to_velocity`, zero on gradients and on the mean.  The weights
+    are imaginary, so the adjoint is -(w1 u1 + w2 u2)."""
+    w = grid.stream_weights
+    s = w[0] * u[0]
+    s += w[1] * u[1]
+    return np.negative(s, out=s)
+
+
 # ---------------------------------------------------------------------------
 # advection
 # ---------------------------------------------------------------------------
@@ -393,7 +431,9 @@ def _advect_skew_coeffs(g: TorusGrid, ac: np.ndarray, wc: np.ndarray) -> np.ndar
     return out * g.dealias_mask
 
 
-def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np.ndarray:
+def _advect_div_coeffs(
+    g: TorusGrid, a_values: np.ndarray, wc: np.ndarray, stream: bool = False
+) -> np.ndarray:
     """P div(a (x) w) on the band block, from precomputed grid values of a.
 
     Returns the block of ky columns 0..dealias_cutoff, shape
@@ -401,7 +441,9 @@ def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np
     later column of the result is zero.  `a_values` must come from
     band-limited coefficients; `wc` is truncated here and need be
     neither band-limited nor divergence free.  The projected field is
-    rebuilt from its curl, which takes three product transforms.
+    rebuilt from its curl, which takes three product transforms.  With
+    `stream`, the result is instead its stream scalar curl N / |k|, shape
+    (n, band_width).
     """
     b = g.band_width
     W = g.to_values(wc[..., :b] * g.band_rows)
@@ -415,6 +457,9 @@ def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np
     np.multiply(g.curl_weights, ph, out=ph)
     curl = ph[0] + ph[1]
     curl += ph[2]
+    if stream:
+        curl *= g.inv_k[:, :b]
+        return curl
     return g.curl_inverse * curl
 
 
@@ -529,7 +574,13 @@ def random_divfree_field(
     decay: float = 0.5,
     normalize: float | None = 1.0,
 ) -> SpectralVectorField:
-    """Zero-mean divergence-free random field (curl of a random stream function)."""
+    """Zero-mean divergence-free random field (curl of a random stream function).
+
+    The stream function keeps |k|_inf < n/2 whatever `kmax` asks: on the
+    ky = n/2 column the Hermitian completion of its curl is not divergence
+    free (the stored ky is +n/2, its mirror's -n/2).
+    """
+    kmax = grid.dealias_cutoff if kmax is None else min(kmax, grid.n // 2 - 1)
     psi = random_smooth_scalar(grid, rng, kmax=kmax, decay=decay)
     g = grid
     c = np.stack([1j * g.ky * psi.coeffs, -1j * g.kx * psi.coeffs])

@@ -6,6 +6,7 @@ import numpy as np
 
 from modnudge.manufactured import _shape_values
 from modnudge.spectral import ScalarField, SpectralVectorField, TorusGrid, _leray_coeffs, _readonly
+from modnudge.stepping import _momentum_operator
 
 
 def laplacian(f):
@@ -63,3 +64,18 @@ def manufactured_forcing_fn(grid: TorusGrid, nu: float):
     """Time-callable forcing of the closed-form flow, for the truth integrator."""
     base = SpectralVectorField.from_grid(grid, _shape_values(grid))
     return lambda t: ((1.0 + nu) * math.exp(t)) * base
+
+
+def fused_velocity_operator(grid: TorusGrid, advecting, k, nu, op, chi):
+    """The fused Step-1 operator  w -> (1/k - nu lap) w + P div(a (x) w) + chi P I_H w
+    on velocity coefficients, with its diagonal preconditioner: the oracle
+    of the stream-space operator the `standard` step solves with."""
+    plain, _ = _momentum_operator(grid, advecting, k, nu)
+    inv_diag = 1.0 / op.shifted_diagonal(1.0 / k + nu * grid.k2, chi)
+
+    def apply_op(c):
+        out = plain(c)
+        out += chi * _leray_coeffs(grid, op.apply_coeffs(c))
+        return out
+
+    return apply_op, lambda r: inv_diag * r

@@ -9,7 +9,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from modnudge import assimilate, condlab, experiments as ex, observers, stepping
+import numpy as np
+import pytest
+
+from modnudge import assimilate, condlab, experiments as ex, observers, spectral, stepping
 from modnudge.config import RunConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -109,3 +112,31 @@ def test_tracer_and_step_clock_time_each_condlab_point_and_restore():
         spans = Counter(s[0] for s in tracer.spans if t0 <= s[1] < t1)
         for name in ("condlab.assemble", "condlab.estimate_condition", "condlab.solve_step2"):
             assert spans[name] == 1, f"point {point}: {spans[name]} {name} spans"
+
+
+@pytest.mark.parametrize("kind,scale", [("cell-average", 4), ("spectral-projection", 3)])
+def test_one_standard_step_reaches_the_kernel_and_the_observer_once_per_application(kind, scale):
+    """The fused solve iterates on the stream scalar; every application must
+    still call `stepping._advect_div_coeffs` and `apply_coeffs`, or the
+    benchmark's spectral.advect_calls_per_step and
+    observers.apply_calls_per_step would change without notice."""
+    tracer_module = load_tracer()
+    grid = spectral.get_grid(16)
+    rng = np.random.default_rng(20)
+    v, u, f = (spectral.random_divfree_field(grid, rng) for _ in range(3))
+    op = observers.make_operator(grid, kind, scale)
+    u_obs = op.apply(u)
+    cfg = stepping.SchemeConfig(k=0.01, nu=1e-3, chi=1e4, scheme="standard")
+    state = stepping.ForecastState(0.0, v, cfg)
+    patches = tracer_module.Patches()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install(patches, {})
+        res = ex.step_standard_nudging(state, f, u_obs, op)
+    finally:
+        patches.restore()
+    spans = Counter(s[0] for s in tracer.spans)
+    assert [s[4] for s in tracer.spans if s[0] == "solvers.gmres"] == [res.iterations]
+    assert spans["stepping.standard"] == 1 and res.iterations > 3
+    for name in ("solvers.gmres.matvec", "spectral.advect", "observers.apply"):
+        assert spans[name] == res.iterations, name

@@ -238,19 +238,20 @@ def test_gmres_matches_scipy_on_a_restarted_stiff_forecast_solve():
 def test_gmres_matches_scipy_on_the_fused_cell_average_solve():
     # standard nudging with the cell average at chi = 1e4: the observer
     # inside the operator makes this the longest single-cycle solve of a
-    # twin step
+    # twin step.  The step solves it on the stream scalar, as here.
     grid = sp.get_grid(32)
     rng = np.random.default_rng(0)
     v = sp.random_divfree_field(grid, rng)
     u = sp.random_divfree_field(grid, rng)
     op = obs.make_cell_average(grid, 8)
     k, nu, chi = 0.01, 1e-3, 1e4
-    apply_op, precondition = st._momentum_operator(grid, v, k, nu, nudge=(op, chi))
-    rhs = v.coeffs / k + chi * sp._leray_coeffs(grid, op.apply_coeffs(u.coeffs))
+    apply_op, precondition = st._fused_operator(grid, v, k, nu, op, chi)
+    s0 = sp._velocity_to_stream(grid, v.coeffs)
+    rhs = s0 / k + chi * sp._velocity_to_stream(grid, op.apply_coeffs(u.coeffs))
     info = _assert_matches_scipy(
         apply_op,
         rhs,
-        x0=v.coeffs.copy(),
+        x0=s0,
         tol=st.DEFAULT_SOLVER_TOL,
         precondition=precondition,
     )

@@ -210,6 +210,87 @@ class TestLeray:
         assert sp._leray_coeffs(g, c).tobytes() == want.tobytes()
 
 
+class TestStreamMap:
+    """u = T s = (i ky, -i kx) s / |k| and its adjoint T* u = curl(u) / |k|."""
+
+    @staticmethod
+    def random_block(g, rng, leading=()):
+        shape = leading + g.coeff_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def real_dot(a, b):
+        """The inner product of the float64 views, the one GMRES uses."""
+        return float(np.dot(a.view(np.float64).ravel(), b.view(np.float64).ravel()))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_isometry_and_adjoint_on_every_stored_mode(self, n):
+        # arbitrary complex blocks: the identities hold mode by mode,
+        # whatever the Hermitian symmetry of the edge columns
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(30 + n)
+        s, t = self.random_block(g, rng), self.random_block(g, rng)
+        s[0, 0] = t[0, 0] = 0.0
+        u = self.random_block(g, rng, (2,))
+        Ts, Tt = sp._stream_to_velocity(g, s), sp._stream_to_velocity(g, t)
+        assert np.allclose(np.abs(Ts[0]) ** 2 + np.abs(Ts[1]) ** 2, np.abs(s) ** 2,
+                           rtol=1e-15, atol=0)
+        assert self.real_dot(Ts, Tt) == pytest.approx(self.real_dot(s, t), rel=1e-14)
+        assert self.real_dot(Ts, u) == pytest.approx(
+            self.real_dot(s, sp._velocity_to_stream(g, u)), rel=1e-14)
+        assert np.max(np.abs(sp._velocity_to_stream(g, Ts) - s)) <= 1e-15 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_round_trip_through_the_velocity_is_the_leray_projection(self, n):
+        # T T* = P off the mean, on the Nyquist row kx = -n/2 and the
+        # edge columns ky = 0 and n/2 alike; the mean goes to zero
+        g = sp.get_grid(n)
+        u = self.random_block(g, np.random.default_rng(40 + n), (2,))
+        back = sp._stream_to_velocity(g, sp._velocity_to_stream(g, u))
+        want = sp._leray_coeffs(g, u)
+        want[:, 0, 0] = 0.0
+        assert np.max(np.abs(back - want)) <= 1e-15 * np.max(np.abs(u))
+        for block in (back[:, n // 2, :], back[:, :, 0], back[:, :, -1]):
+            assert np.abs(block).max() > 0.1 * np.abs(u).max()
+
+    def test_the_mean_and_gradients_have_no_stream_part(self):
+        g = sp.get_grid(16)
+        s = self.random_block(g, np.random.default_rng(50))
+        assert sp._stream_to_velocity(g, s)[:, 0, 0].tolist() == [0.0, 0.0]
+        mean = np.zeros((2,) + g.coeff_shape, dtype=complex)
+        mean[:, 0, 0] = (1.5, -2.0)
+        assert not sp._velocity_to_stream(g, mean).any()
+        grad = sp.gradient(sp.random_smooth_scalar(g, np.random.default_rng(51)))
+        assert np.max(np.abs(sp._velocity_to_stream(g, grad.coeffs))) <= 1e-15 * np.max(
+            np.abs(grad.coeffs))
+
+    def test_stream_scalar_is_the_curl_over_the_wavenumber(self):
+        g = sp.get_grid(32)
+        v = sp.random_divfree_field(g, np.random.default_rng(52))
+        s = sp._velocity_to_stream(g, v.coeffs)
+        assert np.max(np.abs(s - curl(v).coeffs * g.inv_k)) <= 1e-15 * np.max(np.abs(s))
+        # a real field keeps its Hermitian edge columns both ways
+        assert sp.hermitian_defect(sp.ScalarField(g, s)) <= 1e-16
+        back = sp.SpectralVectorField(g, sp._stream_to_velocity(g, s))
+        assert sp.hermitian_defect(back) <= 1e-16
+        assert np.max(np.abs(back.coeffs - v.coeffs)) <= 1e-15 * np.max(np.abs(v.coeffs))
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_stream_kernel_is_the_stream_scalar_of_the_projected_kernel(self, n):
+        g = sp.get_grid(n)
+        rng = np.random.default_rng(n)
+        a = sp.random_divfree_field(g, rng)
+        a_vals = g.to_values(a.coeffs[..., : g.band_width] * g.band_rows)
+        w = self.random_block(g, rng, (2,))
+        velocity = sp._advect_div_coeffs(g, a_vals, w)
+        stream = sp._advect_div_coeffs(g, a_vals, w, stream=True)
+        full = np.zeros((2,) + g.coeff_shape, dtype=complex)
+        full[..., : g.band_width] = velocity
+        want = sp._velocity_to_stream(g, full)[:, : g.band_width]
+        assert stream.shape == (n, g.band_width)
+        assert np.max(np.abs(stream - want)) <= 1e-14 * np.max(np.abs(stream))
+
+
 def oracle_advect_double_grid(a, w):
     """Skew advection computed alias-free on a doubled grid.
 
@@ -411,6 +492,13 @@ class TestBuilders:
         v = sp.random_divfree_field(g, np.random.default_rng(16))
         assert v.max_divergence() < 1e-12
         assert np.max(np.abs(v.mean())) < 1e-15
+
+    def test_random_divfree_keeps_off_the_nyquist_column_whatever_kmax(self):
+        # at ky = n/2 the Hermitian completion of a curl has a divergence
+        g = sp.get_grid(16)
+        v = sp.random_divfree_field(g, np.random.default_rng(18), kmax=8)
+        assert not v.coeffs[:, :, -1].any() and not v.coeffs[:, 8, :].any()
+        assert v.max_divergence() < 1e-15 and np.abs(v.coeffs[:, :, -2]).max() > 0
 
     def test_bump_field_vanishes_outside_disk(self):
         g = sp.get_grid(96)

@@ -17,8 +17,9 @@ from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
 from modnudge.config import RunConfig
+from modnudge.solvers import solve_gmres
 
-from spectral_helpers import manufactured_forcing_fn
+from spectral_helpers import fused_velocity_operator, manufactured_forcing_fn
 
 
 def make_state(grid, v, k=0.1, nu=1.0, chi=0.0, scheme="none", **kw):
@@ -145,7 +146,10 @@ class TestStandardNudging:
         state = make_state(grid, v, chi=0.0, scheme="standard")
         res = st.step_standard_nudging(state, f, sp.SpectralVectorField.zero(grid), op)
         ref = st.step1_forecast(make_state(grid, v), f)
-        assert np.array_equal(res.v.coeffs, ref.v.coeffs)
+        # the same Krylov path, on the stream scalar instead of the velocity
+        assert res.iterations == ref.iterations
+        assert sp.l2_norm(res.v - ref.v) <= 1e-13 * sp.l2_norm(ref.v)
+        assert st.verify_momentum_residual(v, res.v, f, 0.1, 1.0) <= state.config.solver_tol
 
     def test_huge_gain_pins_observed_modes(self):
         grid = sp.get_grid(32)
@@ -184,6 +188,52 @@ class TestStandardNudging:
             + chi * sp._leray_coeffs(grid, op.apply_coeffs(u.coeffs))
         )
         assert np.linalg.norm((lhs - rhs).ravel()) < 1e-7 * np.linalg.norm(rhs.ravel())
+
+    @pytest.mark.parametrize("make_op", [
+        lambda g: obs.make_spectral_projection(g, 4),
+        lambda g: obs.make_cell_average(g, 8),
+        lambda g: obs.make_differential_filter(g, 0.3),
+    ], ids=["spectral-projection", "cell-average", "differential-filter"])
+    def test_stream_solve_takes_the_velocity_oracle_krylov_path(self, make_op):
+        # the step iterates on s = curl(u)/|k|; GMRES on the velocity-space
+        # operator from v^n must take as many applications to the same answer
+        grid = sp.get_grid(32)
+        rng = np.random.default_rng(15)
+        v, u, f = (sp.random_divfree_field(grid, rng) for _ in range(3))
+        op = make_op(grid)
+        k, nu, chi = 0.01, 1e-3, 1e4
+        state = make_state(grid, v, k=k, nu=nu, chi=chi, scheme="standard")
+        u_obs = op.apply(u)
+        res = st.step_standard_nudging(state, f, u_obs, op)
+        apply_op, precondition = fused_velocity_operator(grid, v, k, nu, op, chi)
+        b = (sp._leray_coeffs(grid, f.coeffs) + v.coeffs / k
+             + chi * sp._leray_coeffs(grid, u_obs.coeffs))
+        want, info = solve_gmres(apply_op, b, x0=v.coeffs.copy(), tol=state.config.solver_tol,
+                                 maxiter=st.DEFAULT_SOLVER_MAXIT, precondition=precondition)
+        assert res.iterations == info.iterations > 3
+        assert sp.l2_norm(res.v - sp.SpectralVectorField(grid, want)) <= 1e-12 * sp.l2_norm(res.v)
+        residual = sp._leray_coeffs(grid, b - apply_op(res.v.coeffs))
+        assert np.linalg.norm(residual) <= state.config.solver_tol * np.linalg.norm(b)
+        # the cell average's answers read 2e-14 on both sides
+        assert sp.hermitian_defect(res.v) <= 1e-13 * np.abs(res.v.coeffs).max()
+
+    @pytest.mark.parametrize("chi", [1.0, 1e4])
+    def test_refuses_a_state_with_divergence_above_roundoff(self, chi):
+        # the bound is 1e-14 ||v|| whatever k chi is
+        grid = sp.get_grid(16)
+        rng = np.random.default_rng(16)
+        v, u, f = (sp.random_divfree_field(grid, rng) for _ in range(3))
+        op = obs.make_cell_average(grid, 4)
+        grad = sp.gradient(sp.random_smooth_scalar(grid, rng))
+        grad = grad.coeffs * (sp.l2_norm(v) / sp.l2_norm(grad))
+        for share, refused in ((1e-15, False), (1e-13, True)):
+            w = sp.SpectralVectorField(grid, v.coeffs + share * grad)
+            state = make_state(grid, w, k=0.1, chi=chi, scheme="standard")
+            if refused:
+                with pytest.raises(ValueError, match="standard nudging step: .* divergence"):
+                    st.step_standard_nudging(state, f, op.apply(u), op)
+            else:
+                st.step_standard_nudging(state, f, op.apply(u), op)
 
 
 class TestTruth:
@@ -361,6 +411,8 @@ class TestKrylovStarts:
 
 class TestStabilityLedger:
     def run_ledger(self, scheme, chi, nsteps=25):
+        """The budget after each step of `experiments.advance`, the path the
+        runs take, so each forecast starts from the state's increments."""
         grid = sp.get_grid(32)
         rng = np.random.default_rng(10)
         op = obs.make_spectral_projection(grid, 5)
@@ -371,21 +423,16 @@ class TestStabilityLedger:
         state = make_state(grid, v, k=k, nu=nu, chi=chi, scheme=scheme)
         ledger = st.StabilityLedger.start(v)
         for _ in range(nsteps):
-            u_next = truth.step()
-            u_obs = op.apply(u_next)
-            if scheme == "standard":
-                res = st.step_standard_nudging(state, f, u_obs, op)
-                ledger.record_forecast(state.velocity, res.v, f, k, nu)
-                ledger.record_analysis(res.v, res.v, u_obs, op, k, chi)
-                v_new = res.v
-            else:
-                res = st.step1_forecast(state, f)
-                ledger.record_forecast(state.velocity, res.v, f, k, nu)
-                ana = da.step2a_explicit(res.v, u_obs, op, k, chi)
-                ledger.record_analysis(res.v, ana.v, u_obs, op, k, chi)
-                v_new = ana.v
+            u_obs = op.apply(truth.step())
+            prev = state.velocity
+            vtilde = ex.advance(state, f, u_obs, op)
+            ledger.record_forecast(prev, vtilde, f, k, nu)
+            ledger.record_analysis(vtilde, state.velocity, u_obs, op, k, chi)
             assert ledger.satisfied(), f"energy budget violated at step {ledger.steps}"
-            state = st.ForecastState(state.time + k, v_new, state.config)
+        if state.config.rule.fused:
+            assert state.history is None
+        else:
+            assert state.history.count == 3
         return ledger
 
     def test_two_step_budget_holds(self):
