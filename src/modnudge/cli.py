@@ -50,6 +50,7 @@ from .config import (  # noqa: E402
     resolve_outdir,
 )
 from .predictability import ErrorSeries, horizon_report  # noqa: E402
+from .solvers import KrylovError  # noqa: E402
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -297,9 +298,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, KrylovError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, KrylovError) else 2
 
 
 if __name__ == "__main__":

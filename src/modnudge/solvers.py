@@ -10,14 +10,13 @@ Two workhorses:
   coefficient arrays are complex but the operator is only real-linear
   (inverse transforms pin the imaginary parts of the edge columns), so
   GMRES runs in real arithmetic on the float64 view of the arrays.  It
-  follows scipy's `gmres` (1.17) step for step -- inner test on the
-  preconditioned residual with the gh-8400 adaptive tolerance, modified
-  Gram-Schmidt, Givens rotations by LAPACK's `dlartg` formula in float
-  arithmetic -- so iterates and iteration counts match it bit for bit,
-  without its wrapper layer.  `tol` is relative to ||b|| and is tested
-  on the true residual b - A x that closes every restart cycle; that
-  residual is what SolveInfo reports, and `maxiter` bounds the total
-  number of operator applications.
+  follows scipy's `gmres` (1.17) algorithm -- inner test on the
+  preconditioned residual with the gh-8400 adaptive tolerance, Givens
+  rotations -- with classical Gram-Schmidt applied twice (Giraud, Langou
+  & Rozloznik 2005), and is judged on its true residual, not on scipy's
+  rounding: `tol` is relative to ||b|| and is tested on b - A x at the
+  end of every restart cycle; that residual is what SolveInfo reports,
+  and `maxiter` bounds the total number of operator applications.
 
 Failures raise KrylovError rather than returning best-effort iterates:
 a silent half-converged solve would poison every identity downstream.
@@ -43,38 +42,6 @@ class KrylovError(RuntimeError):
     def located(self, where: str) -> "KrylovError":
         """The same failure with `where` (run, step, time) put in front."""
         return KrylovError(f"{where}: {self}", self.residual, self.iterations)
-
-
-# dlartg's scaling thresholds: safmin = 2^-1022, safmax = 1/safmin
-_SAFMIN = 2.0**-1022
-_SAFMAX = 2.0**1022
-_RTMIN = math.sqrt(_SAFMIN)
-_RTMAX = math.sqrt(_SAFMAX / 2)
-
-
-def givens_rotation(f: float, g: float) -> tuple[float, float, float]:
-    """(c, s, r) with [c s; -s c] (f, g) = (r, 0).
-
-    LAPACK's `dlartg.f90` as OpenBLAS 0.3.30 (scipy 1.17) ships it --
-    c = |f|/d, s = g/r, with the unscaled branch only for |f|, |g| in
-    (sqrt(safmin), sqrt(safmax/2)) -- operation for operation in Python
-    floats, so it equals scipy's `lapack.dlartg` bit for bit.
-    """
-    f1, g1 = abs(f), abs(g)
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, math.copysign(1.0, g), g1
-    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
-        d = math.sqrt(f * f + g * g)
-        r = math.copysign(d, f)
-        return f1 / d, g / r, r
-    # scaled so that the squares neither overflow nor underflow
-    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
-    fs, gs = f / u, g / u
-    d = math.sqrt(fs * fs + gs * gs)
-    r = math.copysign(d, f)
-    return abs(fs) / d, gs / r, r * u
 
 
 # entries of the largest Krylov block a `solve_gmres` call has allocated
@@ -210,7 +177,6 @@ def solve_gmres(
     _block_size = max(_block_size, (restart + 1) * n)
     V = np.empty(_block_size)[: (restart + 1) * n].reshape(restart + 1, n)
     h = np.zeros((restart, restart + 1))  # row j holds Hessenberg column j
-    scratch = np.empty(n)
 
     r = bf - matvec(x) if x.any() else bf
     rnorm = np.linalg.norm(r)
@@ -228,10 +194,12 @@ def solve_gmres(
             w = V[col + 1]
             w[:] = psolve(matvec(V[col]))
             h0 = np.linalg.norm(w)
-            for k in range(col + 1):  # modified Gram-Schmidt
-                t = np.dot(V[k], w)
-                h[col, k] = t
-                w -= np.multiply(V[k], t, out=scratch)
+            basis = V[: col + 1]
+            proj = basis @ w  # classical Gram-Schmidt, applied twice
+            w -= proj @ basis
+            reproj = basis @ w
+            w -= reproj @ basis
+            h[col, : col + 1] = proj + reproj
             h1 = np.linalg.norm(w)
             h[col, col + 1] = h1
             if h1 <= eps * h0:  # the Krylov space is invariant: exact solution
@@ -239,13 +207,14 @@ def solve_gmres(
                 breakdown = True
             else:
                 w *= 1 / h1
-            # the earlier rotations, in float arithmetic: the same IEEE
-            # operations as on numpy scalars, without their indexing cost
+            # the earlier rotations, on Python floats: numpy scalars index slowly
             hc = h[col, : col + 2].tolist()
             for k, (c, s) in enumerate(givens):
                 n0, n1 = hc[k], hc[k + 1]
                 hc[k], hc[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, mag = givens_rotation(hc[col], hc[col + 1])
+            f, g = hc[col], hc[col + 1]
+            mag = math.hypot(f, g)
+            c, s = (f / mag, g / mag) if mag else (1.0, 0.0)
             givens.append((c, s))
             hc[col], hc[col + 1] = mag, 0.0
             h[col, : col + 2] = hc

@@ -221,13 +221,11 @@ class TorusGrid:
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Normalized half-spectrum coefficients -> grid values.
 
-        Absent ky columns read as zeros; a block narrower than n//2+1
+        Absent ky columns read as zeros, so a block narrower than n//2+1
         columns runs its kx pass on the given columns only.
         """
-        if coeffs.shape[-1] < self.n // 2 + 1:
-            half = np.fft.ifft(coeffs, axis=-2, norm="forward")
-            return np.fft.irfft(half, n=self.n, axis=-1, norm="forward")
-        return np.fft.irfft2(coeffs, axes=(-2, -1), s=(self.n, self.n), norm="forward")
+        half = np.fft.ifft(coeffs, axis=-2, norm="forward")
+        return np.fft.irfft(half, n=self.n, axis=-1, norm="forward")
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,9 @@ import pytest
 
 import modnudge
 from modnudge import experiments as ex
+from modnudge import stepping
 from modnudge.cli import BLAS_THREAD_VARS, build_parser, main
+from modnudge.solvers import KrylovError
 
 TINY_TWIN = [
     "--set", "n=32", "--set", "nu=1e-2", "--set", "k=0.02", "--set", "T=0.2",
@@ -104,6 +106,15 @@ class TestTwin:
         text = (tmp_path / "twin_errors.csv").read_text()
         for tag in ("chi-0", "2a-explicit-chi-10", "standard-chi-10", "2b-chi-10"):
             assert tag in text
+
+    def test_failed_solve_exits_3_with_one_located_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise KrylovError("GMRES stopped")
+
+        monkeypatch.setattr(stepping, "solve_gmres", fail)
+        assert run_twin_cli(tmp_path) == 3
+        assert capsys.readouterr().err == "error: truth, step 1, t=0.005: GMRES stopped\n"
 
     def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODNUDGE_OUTDIR", str(tmp_path / "env"))

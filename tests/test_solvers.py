@@ -1,15 +1,15 @@
 """Krylov solvers: convergence, preconditioning, failure reporting, and
-bit-for-bit agreement of the in-house GMRES with scipy's."""
+the in-house GMRES against scipy's as an answer oracle: the same number
+of operator applications and the same answer to within 1e-13."""
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dlartg
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from modnudge import observers as obs
 from modnudge import spectral as sp
 from modnudge import stepping as st
-from modnudge.solvers import KrylovError, givens_rotation, solve_cg, solve_gmres
+from modnudge.solvers import KrylovError, solve_cg, solve_gmres
 
 
 def spd_matrix(rng, n):
@@ -142,7 +142,22 @@ def test_gmres_reports_the_true_residual_of_the_returned_iterate():
     assert info.residual <= 1e-9
 
 
-# -- bit-for-bit agreement with scipy.sparse.linalg.gmres -----------------
+def test_gmres_breakdown_is_an_exact_solve_or_a_loud_failure():
+    # three distinct eigenvalues: the Krylov space is invariant after
+    # three steps, so GMRES has the exact answer there; past roundoff it
+    # can do no better and must say so well before its budget runs out
+    diag = np.repeat([1.0, 2.0, 5.0], 20)
+    b = np.random.default_rng(13).standard_normal(60)
+    x, info = solve_gmres(lambda v: diag * v, b, tol=1e-14)
+    assert info.iterations == 4
+    assert np.linalg.norm(x - b / diag) <= 1e-14 * np.linalg.norm(b / diag)
+    with pytest.raises(KrylovError, match="Krylov breakdown") as exc:
+        solve_gmres(lambda v: diag * v, b, tol=1e-300, maxiter=500)
+    assert exc.value.iterations < 100
+    assert exc.value.residual <= 1e-15
+
+
+# -- scipy.sparse.linalg.gmres as an answer oracle ------------------------
 
 
 def _scipy_gmres(apply_op, b, x0=None, tol=1e-10, restart=64, precondition=None):
@@ -183,7 +198,8 @@ def _assert_matches_scipy(apply_op, b, **kw):
     x_ref = _scipy_gmres(counted, b, **kw)
     scipy_calls, calls[0] = calls[0], 0
     x, info = solve_gmres(counted, b, **kw)
-    assert x.tobytes() == x_ref.tobytes()
+    # the same answer to well inside tol, whatever the rounding path
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     # every application is counted, and none is spent beyond scipy's
     assert info.iterations == calls[0] == scipy_calls
     return info
@@ -273,43 +289,3 @@ def test_gmres_returns_an_initial_guess_that_meets_tol_unchanged():
     assert x.tobytes() == x0.tobytes()
     assert info.iterations == 1
     assert info.residual == residual
-
-
-# -- the Givens rotation against LAPACK's dlartg --------------------------
-
-
-def _givens_pairs():
-    rng = np.random.default_rng(12)
-    m = 20000
-    f = rng.standard_normal(m) * 10.0 ** rng.uniform(-12, 12, m)
-    g = rng.standard_normal(m) * 10.0 ** rng.uniform(-12, 12, m)
-    pairs = list(zip(f.tolist(), g.tolist()))
-    # a signed zero in either slot, against every sign of the other
-    for z in (0.0, -0.0):
-        for x in (2.5, -2.5, 0.0, -0.0):
-            pairs += [(z, x), (x, z)]
-    # every sign combination, unscaled and scaled
-    for a, b in ((3.0, 4.0), (1e-200, 3e-201), (1e200, 7e199)):
-        pairs += [(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)]
-    # magnitudes near safmin and safmax, and between sqrt(safmax/2) and
-    # sqrt(safmax), where only the bound of the unscaled branch decides
-    tiny = 2.0 ** rng.uniform(-1074, -480, 2000)
-    huge = 2.0 ** rng.uniform(480, 1023, 2000)
-    edge = 2.0 ** rng.uniform(510.5, 511.0, 2000)
-    signs = rng.choice([-1.0, 1.0], (3, 2000, 2))
-    for mags, sgn in zip((tiny, huge, edge), signs):
-        other = rng.permutation(mags) * 2.0 ** rng.uniform(-8, 0, mags.size)
-        pairs += list(zip((sgn[:, 0] * mags).tolist(), (sgn[:, 1] * other).tolist()))
-        pairs += list(zip((sgn[:, 1] * other).tolist(), (sgn[:, 0] * mags).tolist()))
-    pairs += [(1e-160, 1e-160), (1e160, -1e160), (-1e-300, 1e300), (2.0**-1022, 2.0**1023)]
-    return pairs
-
-
-def test_givens_rotation_equals_lapack_dlartg_bit_for_bit():
-    pairs = _givens_pairs()
-    mismatched = [
-        (f, g)
-        for f, g in pairs
-        if np.array(givens_rotation(f, g)).tobytes() != np.array(dlartg(f, g)).tobytes()
-    ]
-    assert not mismatched, f"{len(mismatched)} of {len(pairs)} pairs differ, e.g. {mismatched[:3]}"
