@@ -164,11 +164,13 @@ def solve_gmres(
     # vectors allocated one by one cost ~15k minor page faults per twin
     # step at n = 128 and ran 20-25% slower.  Every block has the largest
     # size any solve has needed, one size class, and a solve takes its
-    # rows from the front: with the velocity solves and the half-length
-    # stream-scalar solves in one process, blocks sized per solve left the
-    # heap a hole for each size, and the n = 128 twin's peak RSS read
-    # 65.1-66.0 MB against 57.5-58.7 MB (perfbench worker, one thread,
-    # 2-vCPU machine).
+    # rows from the front: when solves of two lengths shared a process
+    # (velocity solves beside half-length stream-scalar solves), blocks
+    # sized per solve left the heap a hole for each size, and the n = 128
+    # twin's peak RSS read 65.1-66.0 MB against 57.5-58.7 MB (perfbench
+    # worker, one thread, 2-vCPU machine).  Every momentum solve now runs
+    # on the stream scalar, so the solves of one subcommand run share one
+    # length; the rule still keeps one size class where lengths mix.
     # A block kept alive for the whole process is worse: with no large
     # block freed the mmap threshold stays low, the kernels' temporaries
     # are faulted in again on every call, and the n = 128 twin step took

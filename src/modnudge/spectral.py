@@ -14,8 +14,8 @@ coefficients on a grid and nothing more: the time level it belongs to is
 kept by the run that steps it.  `ScalarField` and `SpectralVectorField`
 differ only in the leading shape, () or (2,).  The transforms are
 `numpy.fft` calls (numpy >= 2 ships the same pocketfft as scipy), laid
-out so that they reproduce `scipy.fft` bit for bit; a test holds them
-to that.
+out so that they reproduce `scipy.fft` bit for bit at power-of-two n; a
+test holds them to that.
 
 Nonlinear terms follow the 2/3 rule: inputs are truncated to the square
 band |k|_inf <= (n-1)//3 (in integer wavenumbers), products are formed on
@@ -33,14 +33,15 @@ gradient P removes is the pressure.  In 2D a zero-mean divergence-free
 field is fixed by its curl, one scalar per mode, so `_advect_div_coeffs`
 forms
 
-    curl N = -kx^2 F(a1 w2) + ky^2 F(a2 w1) - kx ky F(a2 w2 - a1 w1),
-    P N    = (i ky, -i kx) curl N / |k|^2,
+    curl N = -kx^2 F(a1 w2) + ky^2 F(a2 w1) - kx ky F(a2 w2 - a1 w1)
 
-from three product transforms, for any a and w.  It works on the block
-of ky columns 0..(n-1)//3 that holds the 2/3 band: `to_values` of a
-narrower coefficient block and `to_coeffs(..., band=True)` run their kx
-pass on those columns only.  For divergence-free a it equals the
-Leray projection of the skew form to roundoff, and tests pin that down.
+from three product transforms, for any a and w, and returns the stream
+scalar curl N / |k| of P N (below).  It works on the block of ky columns
+0..(n-1)//3 that holds the 2/3 band: `to_values` of a narrower
+coefficient block and `to_coeffs(..., band=True)` run their kx pass on
+those columns only.  For divergence-free a, P N rebuilt from that scalar
+equals the Leray projection of the skew form to roundoff, and tests pin
+that down.
 
 The same fact gives the stream map.  `_stream_to_velocity` takes a
 scalar s to u = (i ky, -i kx) s / |k|, and `_velocity_to_stream` takes u
@@ -49,8 +50,9 @@ isometry of the stored coefficients (edge columns and the Nyquist row
 included, with no Hermitian weights), and the second map is its adjoint:
 it inverts the first on zero-mean divergence-free fields and is zero on
 gradients and on the mean, so their composition is the Leray projection
-with the mean removed.  The fused nudging solve iterates on s; the
-kernel's `stream` form returns curl N / |k| for it.
+with the mean removed.  The Step-1 momentum solves iterate on s, and
+the kernel's output is already in that form: P N = (i ky, -i kx)
+curl N / |k|^2 is `_stream_to_velocity` of curl N / |k|.
 """
 
 from __future__ import annotations
@@ -165,14 +167,6 @@ class TorusGrid:
         return _readonly(np.stack(np.broadcast_arrays(-kx * kx * m, ky * ky * m, -kx * ky * m)))
 
     @cached_property
-    def curl_inverse(self) -> np.ndarray:
-        """(i ky, -i kx) / |k|^2 on the band block, zero at k = 0: the
-        zero-mean divergence-free field with a given curl."""
-        b = self.band_width
-        inv_k2 = self.inv_k2[:, :b]
-        return _readonly(np.stack([1j * self.ky[:, :b] * inv_k2, -1j * self.kx * inv_k2]))
-
-    @cached_property
     def inv_k(self) -> np.ndarray:
         """1/|k| with the k=0 entry set to zero."""
         return _readonly(np.sqrt(self.inv_k2))
@@ -207,16 +201,10 @@ class TorusGrid:
         With `band`, only the ky columns 0..dealias_cutoff are returned,
         and the kx pass runs on those columns alone.
         """
-        values = np.asarray(values, dtype=float)
+        half = np.fft.rfft(np.asarray(values, dtype=float), axis=-1, norm="forward")
         if band:
-            half = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.band_width]
-            return np.fft.fft(half, axis=-2, norm="forward", out=half)
-        # one 1/n^2 after the ky pass, as pocketfft's 2D transform scales;
-        # 1/n per pass rounds differently when n is not a power of two
-        half = np.fft.rfft(values, axis=-1)
-        parts = half.view(np.float64)
-        parts *= 1.0 / (self.n * self.n)
-        return np.fft.fft(half, axis=-2, out=half)
+            half = half[..., : self.band_width]
+        return np.fft.fft(half, axis=-2, norm="forward", out=half)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Normalized half-spectrum coefficients -> grid values.
@@ -429,19 +417,16 @@ def _advect_skew_coeffs(g: TorusGrid, ac: np.ndarray, wc: np.ndarray) -> np.ndar
     return out * g.dealias_mask
 
 
-def _advect_div_coeffs(
-    g: TorusGrid, a_values: np.ndarray, wc: np.ndarray, stream: bool = False
-) -> np.ndarray:
-    """P div(a (x) w) on the band block, from precomputed grid values of a.
+def _advect_div_coeffs(g: TorusGrid, a_values: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """The stream scalar curl N / |k| of N = div(a (x) w), from precomputed
+    grid values of a: `stream_weights` times it is P N.
 
     Returns the block of ky columns 0..dealias_cutoff, shape
-    (2, n, band_width), zero on the kx rows outside the 2/3 band; every
+    (n, band_width), zero on the kx rows outside the 2/3 band; every
     later column of the result is zero.  `a_values` must come from
     band-limited coefficients; `wc` is truncated here and need be
-    neither band-limited nor divergence free.  The projected field is
-    rebuilt from its curl, which takes three product transforms.  With
-    `stream`, the result is instead its stream scalar curl N / |k|, shape
-    (n, band_width).
+    neither band-limited nor divergence free.  The curl takes three
+    product transforms.
     """
     b = g.band_width
     W = g.to_values(wc[..., :b] * g.band_rows)
@@ -455,10 +440,8 @@ def _advect_div_coeffs(
     np.multiply(g.curl_weights, ph, out=ph)
     curl = ph[0] + ph[1]
     curl += ph[2]
-    if stream:
-        curl *= g.inv_k[:, :b]
-        return curl
-    return g.curl_inverse * curl
+    curl *= g.inv_k[:, :b]
+    return curl
 
 
 # ---------------------------------------------------------------------------

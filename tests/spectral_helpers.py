@@ -5,8 +5,14 @@ import math
 import numpy as np
 
 from modnudge.manufactured import _shape_values
-from modnudge.spectral import ScalarField, SpectralVectorField, TorusGrid, _leray_coeffs, _readonly
-from modnudge.stepping import _momentum_operator
+from modnudge.spectral import (
+    ScalarField,
+    SpectralVectorField,
+    TorusGrid,
+    _advect_div_coeffs,
+    _leray_coeffs,
+    _readonly,
+)
 
 
 def laplacian(f):
@@ -66,11 +72,33 @@ def manufactured_forcing_fn(grid: TorusGrid, nu: float):
     return lambda t: ((1.0 + nu) * math.exp(t)) * base
 
 
-def fused_velocity_operator(grid: TorusGrid, advecting, k, nu, op, chi):
+def momentum_velocity_operator(grid: TorusGrid, advecting, k, nu):
+    """The Step-1 operator  w -> (1/k - nu lap) w + P div(a (x) w)  on
+    velocity coefficients, with its diagonal preconditioner: the oracle of
+    the stream-space solves.  The kernel's stream scalar goes back to the
+    velocity through `stream_weights` on the ky columns of the 2/3 band."""
+    band = grid.band_width
+    a_vals = grid.to_values(advecting.coeffs[..., :band] * grid.band_rows)
+    weights = grid.stream_weights[..., :band]
+    diag = 1.0 / k + nu * grid.k2
+
+    def apply_op(c):
+        out = diag * c
+        out[..., :band] += weights * _advect_div_coeffs(grid, a_vals, c)
+        return out
+
+    inv_diag = 1.0 / diag
+    return apply_op, lambda r: inv_diag * r
+
+
+def fused_velocity_operator(grid: TorusGrid, advecting, k, nu, op=None, chi=0.0):
     """The fused Step-1 operator  w -> (1/k - nu lap) w + P div(a (x) w) + chi P I_H w
     on velocity coefficients, with its diagonal preconditioner: the oracle
-    of the stream-space operator the `standard` step solves with."""
-    plain, _ = _momentum_operator(grid, advecting, k, nu)
+    of the stream-space operator the `standard` step solves with, and at
+    chi = 0 the plain one."""
+    plain, precondition = momentum_velocity_operator(grid, advecting, k, nu)
+    if chi == 0:
+        return plain, precondition
     inv_diag = 1.0 / op.shifted_diagonal(1.0 / k + nu * grid.k2, chi)
 
     def apply_op(c):

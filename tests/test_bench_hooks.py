@@ -140,3 +140,50 @@ def test_one_standard_step_reaches_the_kernel_and_the_observer_once_per_applicat
     assert spans["stepping.standard"] == 1 and res.iterations > 3
     for name in ("solvers.gmres.matvec", "spectral.advect", "observers.apply"):
         assert spans[name] == res.iterations, name
+
+
+def test_forecasts_and_truth_substeps_reach_the_kernel_once_per_application():
+    """A plain Step-1 solve calls `stepping._advect_div_coeffs` once per GMRES
+    application, and once more for the coupling of a divergent state's
+    gradient part; the fused step also calls the observer once more.  So
+    the benchmark's spectral.advect_calls_per_step has a known cause."""
+    tracer_module = load_tracer()
+    grid = spectral.get_grid(16)
+    rng = np.random.default_rng(21)
+    v, u, f = (spectral.random_divfree_field(grid, rng) for _ in range(3))
+    op = observers.make_cell_average(grid, 4)
+    u_obs = op.apply(u)
+    divergent = assimilate.step2a_implicit(v, u_obs, op, 0.01, 1e4).v
+    truth = stepping.TruthIntegrator(u, lambda t: f, 0.01, 1e-3)
+
+    def traced(call):
+        patches = tracer_module.Patches()
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install(patches, {})
+            call()
+        finally:
+            patches.restore()
+        spans = Counter(s[0] for s in tracer.spans)
+        applications = sum(s[4] for s in tracer.spans if s[0] == "solvers.gmres")
+        assert spans["solvers.gmres.matvec"] == applications > 0
+        return spans, applications
+
+    def state(w, chi=0.0, scheme="none"):
+        return stepping.ForecastState(0.0, w, stepping.SchemeConfig(k=0.01, nu=1e-3, chi=chi,
+                                                                    scheme=scheme))
+
+    for w, extra in ((v, 0), (divergent, 1)):
+        spans, applications = traced(lambda: ex.step1_forecast(state(w), f))
+        assert spans["stepping.forecast"] == 1
+        assert spans["spectral.advect"] == applications + extra
+        assert spans["observers.apply"] == 0
+        spans, applications = traced(
+            lambda: ex.step_standard_nudging(state(w, 1e4, "standard"), f, u_obs, op))
+        assert spans["stepping.standard"] == 1
+        for name in ("spectral.advect", "observers.apply"):
+            assert spans[name] == applications + extra, name
+    for _ in range(2):  # backward Euler, then BDF2
+        spans, applications = traced(lambda: truth.step())
+        assert spans["stepping.truth_substep"] == 1
+        assert spans["spectral.advect"] == applications

@@ -146,7 +146,7 @@ class TestStandardNudging:
         state = make_state(grid, v, chi=0.0, scheme="standard")
         res = st.step_standard_nudging(state, f, sp.SpectralVectorField.zero(grid), op)
         ref = st.step1_forecast(make_state(grid, v), f)
-        # the same Krylov path, on the stream scalar instead of the velocity
+        # one Step-1 solve: at chi = 0 the fused step is the forecast
         assert res.iterations == ref.iterations
         assert sp.l2_norm(res.v - ref.v) <= 1e-13 * sp.l2_norm(ref.v)
         assert st.verify_momentum_residual(v, res.v, f, 0.1, 1.0) <= state.config.solver_tol
@@ -217,23 +217,80 @@ class TestStandardNudging:
         # the cell average's answers read 2e-14 on both sides
         assert sp.hermitian_defect(res.v) <= 1e-13 * np.abs(res.v.coeffs).max()
 
-    @pytest.mark.parametrize("chi", [1.0, 1e4])
-    def test_refuses_a_state_with_divergence_above_roundoff(self, chi):
-        # the bound is 1e-14 ||v|| whatever k chi is
-        grid = sp.get_grid(16)
+    @pytest.mark.parametrize("chi", [0.0, 1.0, 1e4])
+    def test_a_divergent_cell_average_state_solves_as_the_velocity_oracle(self, chi):
+        # an implicit cell-average analysis leaves the state divergent; the
+        # stream solve takes its gradient part in closed form and must land
+        # on the velocity-form answer.  chi = 0 is the plain forecast.
+        grid = sp.get_grid(32)
         rng = np.random.default_rng(16)
+        vt, u, f = (sp.random_divfree_field(grid, rng) for _ in range(3))
+        op = obs.make_cell_average(grid, 8)
+        k, nu, tol = 0.01, 1e-3, 1e-12
+        u_obs = op.apply(u)
+        v = da.step2a_implicit(vt, u_obs, op, k, 1e4).v
+        divfree = sp._stream_to_velocity(grid, sp._velocity_to_stream(grid, v.coeffs))
+        assert np.linalg.norm(v.coeffs - divfree) > 0.1 * np.linalg.norm(v.coeffs)
+        state = make_state(grid, v, k=k, nu=nu, chi=chi, scheme="standard", solver_tol=tol)
+        if chi > 0:
+            res = st.step_standard_nudging(state, f, u_obs, op)
+        else:
+            res = st.step1_forecast(state, f)
+        apply_op, precondition = fused_velocity_operator(grid, v, k, nu, op, chi)
+        b = sp._leray_coeffs(grid, f.coeffs + chi * u_obs.coeffs) + v.coeffs / k
+        want, _ = solve_gmres(apply_op, b, x0=v.coeffs.copy(), tol=1e-14,
+                              maxiter=st.DEFAULT_SOLVER_MAXIT, precondition=precondition)
+        assert sp.l2_norm(res.v - sp.SpectralVectorField(grid, want)) <= 1e-11 * sp.l2_norm(res.v)
+        residual = b - apply_op(res.v.coeffs)
+        assert np.linalg.norm(residual) <= tol * np.linalg.norm(b)
+
+    def test_refuses_a_state_with_a_mean(self):
+        # P keeps the mean, so chi P I_H would couple it to chi
+        grid = sp.get_grid(16)
+        rng = np.random.default_rng(17)
         v, u, f = (sp.random_divfree_field(grid, rng) for _ in range(3))
         op = obs.make_cell_average(grid, 4)
-        grad = sp.gradient(sp.random_smooth_scalar(grid, rng))
-        grad = grad.coeffs * (sp.l2_norm(v) / sp.l2_norm(grad))
-        for share, refused in ((1e-15, False), (1e-13, True)):
-            w = sp.SpectralVectorField(grid, v.coeffs + share * grad)
-            state = make_state(grid, w, k=0.1, chi=chi, scheme="standard")
-            if refused:
-                with pytest.raises(ValueError, match="standard nudging step: .* divergence"):
-                    st.step_standard_nudging(state, f, op.apply(u), op)
-            else:
-                st.step_standard_nudging(state, f, op.apply(u), op)
+        c = v.coeffs.copy()
+        c[0, 0, 0] = 1e-6
+        state = make_state(grid, sp.SpectralVectorField(grid, c), chi=1e4, scheme="standard")
+        with pytest.raises(ValueError, match="nudging step: the state must have zero mean"):
+            st.step_standard_nudging(state, f, op.apply(u), op)
+
+    @pytest.mark.parametrize("kind,scale", [("spectral-projection", 5), ("cell-average", 8)])
+    def test_twin_solves_on_divergence_free_states_take_the_velocity_oracle_path(
+            self, monkeypatch, kind, scale):
+        # every solve of a short twin whose old state is divergence free:
+        # GMRES on the velocity-form operator from T x0 takes as many
+        # applications to the same answer
+        compared, divergent = [], []
+        solve = st._step1_solve
+
+        def checked(advecting, old, w, drive, k, nu, tol, history=None, op=None, chi=0.0):
+            grid = advecting.grid
+            s_old = sp._velocity_to_stream(grid, old)
+            x0 = s_old if history is None else history.guess(s_old)
+            c, info = solve(advecting, old, w, drive, k, nu, tol, history, op, chi)
+            rest = w - sp._stream_to_velocity(grid, sp._velocity_to_stream(grid, w))
+            if np.linalg.norm(rest) > st.DIVFREE_RTOL * np.linalg.norm(w):
+                divergent.append(info.iterations)
+                return c, info
+            apply_op, precondition = fused_velocity_operator(grid, advecting, k, nu, op, chi)
+            b = sp._leray_coeffs(grid, drive) + w / k
+            want, ref = solve_gmres(apply_op, b, x0=sp._stream_to_velocity(grid, x0), tol=tol,
+                                    maxiter=st.DEFAULT_SOLVER_MAXIT, precondition=precondition)
+            compared.append((info.iterations, ref.iterations))
+            assert np.linalg.norm(c - want) <= 1e-12 * np.linalg.norm(want)
+            return c, info
+
+        monkeypatch.setattr(st, "_step1_solve", checked)
+        cfg = RunConfig(n=32, T=0.1, operator=kind, operator_scale=scale)
+        ex.run_twin(cfg, ex.twin_variants(cfg, include_alternates=True))
+        # per step: four truth substeps, the chi-0 forecast, the fused
+        # solve, and the analysis variants' forecasts when their states are
+        # divergence free (the spectral projection's, not the cell average's)
+        assert len(compared) + len(divergent) == 9 * cfg.steps
+        assert len(compared) >= 6 * cfg.steps
+        assert [a for a, _ in compared] == [b for _, b in compared]
 
 
 class TestTruth:
